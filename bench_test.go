@@ -7,7 +7,6 @@ package dydroid_test
 
 import (
 	"maps"
-	"strings"
 	"sync"
 	"testing"
 
@@ -54,8 +53,8 @@ const benchSeed = 2016
 
 // BenchmarkFullMeasurement times the complete pipeline — generate the
 // marketplace, analyze every app, replay the malware — at bench scale,
-// and reports the per-stage mean timings from the run's metrics registry
-// so stage-level regressions show up in benchmark diffs. Corpus
+// and reports the per-span mean timings from the run's fleet snapshot so
+// stage-level regressions show up in benchmark diffs. Corpus
 // variance is a separate measurand: see the seed-sweep sub-benchmark.
 func BenchmarkFullMeasurement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -67,10 +66,8 @@ func BenchmarkFullMeasurement(b *testing.B) {
 		}
 		b.ReportMetric(float64(len(res.Records)), "apps/op")
 		b.ReportMetric(res.RunStats.AppsPerSec, "apps/sec")
-		for name, st := range res.RunStats.Stages {
-			if stage, ok := strings.CutPrefix(name, "stage."); ok {
-				b.ReportMetric(float64(st.Mean.Nanoseconds()), stage+"-ns/app")
-			}
+		for name, h := range res.Fleet.Stages {
+			b.ReportMetric(float64(h.Mean().Nanoseconds()), name+"-ns/app")
 		}
 	}
 }

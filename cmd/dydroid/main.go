@@ -26,13 +26,14 @@ import (
 	"github.com/dydroid/dydroid/internal/droidnative"
 	"github.com/dydroid/dydroid/internal/metrics"
 	"github.com/dydroid/dydroid/internal/service"
+	"github.com/dydroid/dydroid/internal/telemetry"
 )
 
 func main() {
 	seed := flag.Int64("seed", 7, "fuzzing seed")
 	events := flag.Int("events", 25, "monkey event budget per app")
 	noTrain := flag.Bool("no-train", false, "skip DroidNative training (disables malware detection)")
-	showMetrics := flag.Bool("metrics", false, "print the pipeline metrics snapshot (per-stage timings, status counts) to stderr after all apps")
+	showMetrics := flag.Bool("metrics", false, "print the pipeline's status counts and per-span latency to stderr after all apps")
 	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON record per app (the dydroidd verdict format) instead of the text report")
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -55,6 +56,7 @@ func main() {
 		}
 	}
 	reg := metrics.New()
+	fleet := telemetry.New(telemetry.Options{})
 	an := core.NewAnalyzer(core.Options{
 		Seed:         *seed,
 		MonkeyEvents: *events,
@@ -78,6 +80,7 @@ func main() {
 			exit = 1
 			continue
 		}
+		fleet.ObserveApp(res, res.Trace)
 		if *jsonOut {
 			if err := printJSON(os.Stdout, data, res); err != nil {
 				fmt.Fprintf(os.Stderr, "dydroid: %s: %v\n", path, err)
@@ -89,6 +92,7 @@ func main() {
 	}
 	if *showMetrics {
 		fmt.Fprint(os.Stderr, reg.Snapshot())
+		fmt.Fprint(os.Stderr, "\n", fleet.Snapshot().LatencyReport())
 	}
 	os.Exit(exit)
 }

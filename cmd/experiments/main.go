@@ -10,11 +10,15 @@
 // With no -table/-figure flag the complete report (Tables I-X and
 // Figure 3) is printed. With -warm the run keeps a content-addressed
 // result store in DIR: re-runs with the same seed and event budget skip
-// already-analyzed apps. With -trace the run writes its observability
-// artifacts to DIR: traces.jsonl (the slowest apps' span trees, renderable
-// with `apkinspect trace`), runstats.json (per-stage exact quantiles) and
-// fleet.json (the shard's mergeable measurement snapshot — combine
-// sharded runs with `apkinspect fleet merge`).
+// already-analyzed apps. With -metrics the run's counters and its latency
+// report go to stderr: one histogram per span name folded from every
+// app's span tree, plus the slowest apps. With -trace the run writes its
+// observability artifacts to DIR: traces.jsonl (the span trees of the
+// apps the latency report ranks slowest, renderable with `apkinspect
+// trace`), runstats.json (throughput, status and counter totals) and
+// fleet.json (the shard's mergeable measurement snapshot, span
+// histograms included — combine sharded runs with `apkinspect fleet
+// merge`).
 package main
 
 import (
@@ -35,7 +39,7 @@ func main() {
 	figure := flag.Int("figure", 0, "print only this figure (3)")
 	out := flag.String("o", "", "write the report to a file instead of stdout")
 	quiet := flag.Bool("q", false, "suppress progress output")
-	showMetrics := flag.Bool("metrics", false, "print the run's metrics snapshot (per-stage timings, throughput, failure counts) to stderr")
+	showMetrics := flag.Bool("metrics", false, "print the run's stats (throughput, failure and status counts, per-span latency, slowest apps) to stderr")
 	failFast := flag.Bool("failfast", false, "abort on the first per-app failure instead of recording it and continuing")
 	warmDir := flag.String("warm", "", "warm-start result store directory (re-runs skip already-analyzed apps)")
 	traceDir := flag.String("trace", "", "write traces.jsonl, runstats.json and fleet.json to this directory")
@@ -73,6 +77,7 @@ func main() {
 	}
 	if *showMetrics {
 		fmt.Fprintln(os.Stderr, res.RunStats)
+		fmt.Fprintln(os.Stderr, res.Fleet.LatencyReport())
 	}
 
 	var report string

@@ -101,8 +101,8 @@ type ExperimentConfig = experiments.Config
 // every table and figure.
 type ExperimentResults = experiments.Results
 
-// RunStats summarizes a measurement run: throughput, per-stage timing
-// histograms and failure counts.
+// RunStats summarizes a measurement run: throughput, status and failure
+// counts. Per-span latency lives in ExperimentResults.Fleet.
 type RunStats = experiments.RunStats
 
 // FailurePolicy selects how RunExperiments treats a per-app analysis

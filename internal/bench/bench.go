@@ -31,7 +31,9 @@ import (
 	"time"
 
 	"github.com/dydroid/dydroid/internal/experiments"
+	"github.com/dydroid/dydroid/internal/metrics"
 	"github.com/dydroid/dydroid/internal/stats"
+	"github.com/dydroid/dydroid/internal/trace"
 )
 
 // SchemaVersion identifies the Result JSON layout. Bump it when a field
@@ -185,17 +187,34 @@ func Run(cfg Config) (*Result, error) {
 	for st, n := range res.RunStats.StatusCounts {
 		out.Statuses[string(st)] = n
 	}
-	for name, q := range res.RunStats.StageQuantiles {
-		out.Stages = append(out.Stages, StageResult{
-			Name:  name,
-			Count: q.Count,
-			P50NS: q.P50.Nanoseconds(),
-			P95NS: q.P95.Nanoseconds(),
-			P99NS: q.P99.Nanoseconds(),
+	out.Stages = spanQuantiles(res.Records)
+	return out, nil
+}
+
+// spanQuantiles computes exact nearest-rank p50/p95/p99 per span name
+// over the retained span trees of records, sorted by name. It runs after
+// the measured run, so the exact order statistics cost the production
+// path nothing. Every span of a tree counts (an app's four replays are
+// four samples); records without a trace (failed analyses) contribute
+// none.
+func spanQuantiles(records []*experiments.AppRecord) []StageResult {
+	durs := make(map[string][]time.Duration)
+	for _, rec := range records {
+		if rec == nil || rec.Result == nil || rec.Result.Trace == nil {
+			continue
+		}
+		rec.Result.Trace.Root.Walk(func(sp *trace.Span) {
+			durs[sp.Name] = append(durs[sp.Name], sp.Duration())
 		})
 	}
-	sort.Slice(out.Stages, func(i, j int) bool { return out.Stages[i].Name < out.Stages[j].Name })
-	return out, nil
+	out := make([]StageResult, 0, len(durs))
+	for name, d := range durs {
+		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+		at := func(q float64) int64 { return d[metrics.NearestRank(int64(len(d)), q)-1].Nanoseconds() }
+		out = append(out, StageResult{Name: name, Count: len(d), P50NS: at(0.50), P95NS: at(0.95), P99NS: at(0.99)})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }
 
 // Table renders the result as an aligned human-readable report.

@@ -5,6 +5,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/dydroid/dydroid/internal/core"
+	"github.com/dydroid/dydroid/internal/experiments"
+	"github.com/dydroid/dydroid/internal/trace"
 )
 
 func sampleResult() *Result {
@@ -215,5 +220,45 @@ func TestCompare(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Compare output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestSpanQuantilesOrderIndependent: the exact per-span quantiles depend
+// only on the set of retained traces, not on record order (workers
+// finish apps in any order), every span of a tree counts, and records
+// without a trace (failed analyses) contribute nothing.
+func TestSpanQuantilesOrderIndependent(t *testing.T) {
+	base := time.Unix(0, 0)
+	rec := func(d time.Duration) *experiments.AppRecord {
+		root := &trace.Span{Name: "app", StartAt: base, EndAt: base.Add(d)}
+		root.Children = []*trace.Span{
+			{Name: "replay", StartAt: base, EndAt: base.Add(d / 2)},
+			{Name: "replay", StartAt: base, EndAt: base.Add(d / 2)},
+		}
+		return &experiments.AppRecord{Result: &core.AppResult{Trace: &trace.Trace{ID: "t", Root: root}}}
+	}
+	failed := &experiments.AppRecord{Result: &core.AppResult{Status: core.StatusAnalysisError}}
+	var desc, asc []*experiments.AppRecord
+	for _, d := range []time.Duration{50, 40, 30, 20, 10} {
+		desc = append(desc, rec(d))
+	}
+	for i := len(desc) - 1; i >= 0; i-- {
+		asc = append(asc, desc[i])
+	}
+	desc = append(desc, failed, nil)
+	got, other := spanQuantiles(desc), spanQuantiles(asc)
+	if !reflect.DeepEqual(got, other) {
+		t.Fatalf("quantiles depend on record order:\n%+v\n%+v", got, other)
+	}
+	want := []StageResult{
+		{Name: "app", Count: 5, P50NS: 30, P95NS: 50, P99NS: 50},
+		{Name: "replay", Count: 10, P50NS: 15, P95NS: 25, P99NS: 25},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("spanQuantiles = %+v, want %+v", got, want)
+	}
+	// The records' traces are read, never reordered.
+	if d := desc[0].Result.Trace.Root.Duration(); d != 50 {
+		t.Fatalf("first record's trace changed: root %v", d)
 	}
 }

@@ -10,6 +10,7 @@ package bouncer
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -43,9 +44,9 @@ type Reviewer struct {
 	// MonkeyEvents bounds the dynamic phase (default 10 — reviews are
 	// brief, which is exactly the window evasion exploits).
 	MonkeyEvents int
-	// Metrics, when non-nil, receives review stage timings
-	// (bouncer.review / bouncer.static / bouncer.dynamic) and the
-	// bouncer.approved / bouncer.rejected / bouncer.errors counters.
+	// Metrics, when non-nil, receives the bouncer.approved /
+	// bouncer.rejected / bouncer.errors counters. Review timings are the
+	// review, review.static and review.dynamic spans.
 	Metrics *metrics.Registry
 }
 
@@ -65,7 +66,6 @@ func (r *Reviewer) Review(apkBytes []byte) (Verdict, error) {
 // submission's whole history lands in a single span tree.
 func (r *Reviewer) ReviewContext(ctx context.Context, apkBytes []byte) (Verdict, error) {
 	ctx, span := trace.Start(ctx, "review")
-	defer r.Metrics.Time("bouncer.review")()
 	v, err := r.review(ctx, apkBytes)
 	switch {
 	case err != nil:
@@ -93,9 +93,7 @@ func (r *Reviewer) review(ctx context.Context, apkBytes []byte) (Verdict, error)
 	}
 	// Phase 1: static scan of every binary in the archive.
 	_, sStatic := trace.Start(ctx, "review.static")
-	stopStatic := r.Metrics.Time("bouncer.static")
 	v, rejected := r.staticScan(a)
-	stopStatic()
 	sStatic.SetAttr("rejected", strconv.FormatBool(rejected))
 	sStatic.End()
 	if rejected {
@@ -105,7 +103,6 @@ func (r *Reviewer) review(ctx context.Context, apkBytes []byte) (Verdict, error)
 	// Phase 2: brief dynamic run in a sandbox device.
 	_, sDynamic := trace.Start(ctx, "review.dynamic")
 	defer sDynamic.End()
-	defer r.Metrics.Time("bouncer.dynamic")()
 	dev := android.NewDevice()
 	var net *netsim.Network
 	if r.Network != nil {
@@ -173,8 +170,15 @@ func (r *Reviewer) staticScan(a *apk.APK) (v Verdict, rejected bool) {
 			}
 		}
 	}
-	for name, libBytes := range a.NativeLibs {
-		lib, err := nativebin.Decode(libBytes)
+	// Libraries are scanned in name order so an archive carrying several
+	// malicious ones always gets the same reason.
+	names := make([]string, 0, len(a.NativeLibs))
+	for name := range a.NativeLibs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		lib, err := nativebin.Decode(a.NativeLibs[name])
 		if err != nil {
 			continue
 		}

@@ -1,6 +1,7 @@
 package bouncer
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"github.com/dydroid/dydroid/internal/metrics"
 	"github.com/dydroid/dydroid/internal/nativebin"
 	"github.com/dydroid/dydroid/internal/netsim"
+	"github.com/dydroid/dydroid/internal/trace"
 )
 
 var refs = struct {
@@ -238,10 +240,11 @@ func TestBouncerApprovesBenign(t *testing.T) {
 	}
 }
 
-func TestBouncerRejectsStaticNativeMalware(t *testing.T) {
-	// A chathook-style native library packaged in the archive is caught by
-	// the static scan of lib/ entries.
-	nb := nativebin.NewBuilder("libhook.so", "arm")
+// chathookLib builds a chathook-style native library (setuid, find the
+// target process, ptrace it) under the given name.
+func chathookLib(t *testing.T, name string) (*nativebin.Library, []byte) {
+	t.Helper()
+	nb := nativebin.NewBuilder(name, "arm")
 	target := nb.CString("com.tencent.mm")
 	nb.Symbol("Java_com_mal_Hook_attack").
 		MovI(0, 0).
@@ -255,25 +258,69 @@ func TestBouncerRejectsStaticNativeMalware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return lib, libBytes
+}
+
+// nativeMalwareAPK packages the given native libraries into an archive
+// and returns it with a classifier trained on the chathook library.
+func nativeMalwareAPK(t *testing.T, libs map[string][]byte) ([]byte, *droidnative.Classifier) {
+	t.Helper()
+	lib, _ := chathookLib(t, "libhook.so")
 	var clf droidnative.Classifier
 	if err := clf.Train("Chathook ptrace", mail.FromNative(lib)); err != nil {
 		t.Fatal(err)
 	}
-	a := &apk.APK{
+	data, err := apk.Build(&apk.APK{
 		Manifest: apk.Manifest{Package: "com.nat.mal", MinSDK: 16,
 			Application: apk.Application{Activities: []apk.Component{{Name: "com.nat.mal.Main", Main: true}}}},
-		NativeLibs: map[string][]byte{"libhook.so": libBytes},
-	}
-	data, err := apk.Build(a)
+		NativeLibs: libs,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := (&Reviewer{Classifier: &clf}).Review(data)
+	return data, &clf
+}
+
+func TestBouncerRejectsStaticNativeMalware(t *testing.T) {
+	// A chathook-style native library packaged in the archive is caught by
+	// the static scan of lib/ entries.
+	_, libBytes := chathookLib(t, "libhook.so")
+	data, clf := nativeMalwareAPK(t, map[string][]byte{"libhook.so": libBytes})
+	v, err := (&Reviewer{Classifier: clf}).Review(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Approved || !strings.Contains(v.Reason, "Chathook") {
 		t.Fatalf("verdict = %+v", v)
+	}
+}
+
+// TestStaticScanReasonDeterministic: an archive carrying two malicious
+// libraries is rejected with the same reason on every review, naming the
+// library that sorts first.
+func TestStaticScanReasonDeterministic(t *testing.T) {
+	_, first := chathookLib(t, "libaaa.so")
+	_, second := chathookLib(t, "libzzz.so")
+	data, clf := nativeMalwareAPK(t, map[string][]byte{"libzzz.so": second, "libaaa.so": first})
+	r := &Reviewer{Classifier: clf}
+	reasons := map[string]bool{}
+	for i := 0; i < 32; i++ {
+		v, err := r.Review(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Approved {
+			t.Fatal("two-malicious-lib archive approved")
+		}
+		reasons[v.Reason] = true
+	}
+	if len(reasons) != 1 {
+		t.Fatalf("reject reason varies across reviews: %v", reasons)
+	}
+	for reason := range reasons {
+		if !strings.Contains(reason, "libaaa.so") || strings.Contains(reason, "libzzz.so") {
+			t.Fatalf("reason %q does not name the first library in name order", reason)
+		}
 	}
 }
 
@@ -334,35 +381,56 @@ func TestBouncerRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReviewRecordsMetrics: the registry gets the verdict counters, and
+// the review's timings are its spans — review.static always,
+// review.dynamic only when the static phase did not already reject.
 func TestReviewRecordsMetrics(t *testing.T) {
 	reg := metrics.New()
 	r := &Reviewer{Classifier: trainedClassifier(t), Metrics: reg}
+	review := func(data []byte) (Verdict, *trace.Span) {
+		t.Helper()
+		tr := trace.New("scan")
+		v, err := r.ReviewContext(trace.ContextWith(context.Background(), tr), data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rev := tr.Root.Find("review")
+		if rev == nil || rev.EndAt.IsZero() {
+			t.Fatal("review span missing or never ended")
+		}
+		return v, rev
+	}
 
-	// A rejection from the static phase: no dynamic timing recorded.
-	if v, err := r.Review(appM(t)); err != nil || v.Approved {
-		t.Fatalf("verdict = %+v, err %v", v, err)
+	// A rejection from the static phase: no dynamic phase span.
+	v, rev := review(appM(t))
+	if v.Approved {
+		t.Fatalf("verdict = %+v", v)
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["bouncer.rejected"] != 1 || snap.Counters["bouncer.approved"] != 0 {
 		t.Fatalf("counters = %+v", snap.Counters)
 	}
-	if snap.Stages["bouncer.static"].Count != 1 || snap.Stages["bouncer.review"].Count != 1 {
-		t.Fatalf("stages = %+v", snap.Stages)
+	if rev.Find("review.static") == nil {
+		t.Fatal("static phase span missing")
 	}
-	if snap.Stages["bouncer.dynamic"].Count != 0 {
-		t.Fatal("dynamic phase timed for a static rejection")
+	if rev.Find("review.dynamic") != nil {
+		t.Fatal("dynamic phase span recorded for a static rejection")
 	}
 
 	// An approval exercises both phases.
-	if v, err := r.Review(appL(t, "http://updates.evil.example/update.dex")); err != nil || !v.Approved {
-		t.Fatalf("verdict = %+v, err %v", v, err)
+	v, rev = review(appL(t, "http://updates.evil.example/update.dex"))
+	if !v.Approved {
+		t.Fatalf("verdict = %+v", v)
 	}
-	snap = reg.Snapshot()
-	if snap.Counters["bouncer.approved"] != 1 {
-		t.Fatalf("counters = %+v", snap.Counters)
+	if got := reg.Counter("bouncer.approved"); got != 1 {
+		t.Fatalf("bouncer.approved = %d", got)
 	}
-	if snap.Stages["bouncer.dynamic"].Count != 1 || snap.Stages["bouncer.review"].Count != 2 {
-		t.Fatalf("stages = %+v", snap.Stages)
+	if rev.Find("review.static") == nil || rev.Find("review.dynamic") == nil {
+		t.Fatal("approval did not record both phase spans")
+	}
+	// Timings live in the spans only: the registry holds no histograms.
+	if hists := reg.Snapshot().Hists; len(hists) != 0 {
+		t.Fatalf("registry histograms = %v, want none", hists)
 	}
 
 	// A parse failure counts as an error, not a verdict.

@@ -56,10 +56,10 @@ type Options struct {
 	DisableDeleteBlocking bool
 	// StepBudget overrides the per-invocation VM budget (0 = default).
 	StepBudget int
-	// Metrics, when non-nil, receives per-stage duration histograms
-	// (stage.unpack / stage.rewrite / stage.dynamic / stage.static /
-	// stage.replay), app.total timings, and status.* counters. A nil
-	// registry disables instrumentation at zero cost.
+	// Metrics, when non-nil, receives the status.* and
+	// dynamic.nospace-retries counters. Stage timings are not recorded
+	// here: each stage is a span of AppResult.Trace. A nil registry
+	// disables the counters at zero cost.
 	Metrics *metrics.Registry
 }
 
@@ -79,9 +79,9 @@ func NewAnalyzer(opts Options) *Analyzer {
 // AnalyzeAPK runs the full pipeline (Fig. 1) on one application archive:
 // decompile, static pre-filter and obfuscation analysis, rewrite, dynamic
 // exercise with DCL logging/interception/tracking, then static malware,
-// vulnerability and privacy analysis of the intercepted code. When
-// Options.Metrics is set, every stage duration and the final status are
-// recorded into the registry.
+// vulnerability and privacy analysis of the intercepted code. Every
+// executed stage is a span of AppResult.Trace; when Options.Metrics is
+// set, the final status is counted into the registry.
 func (a *Analyzer) AnalyzeAPK(apkBytes []byte) (*AppResult, error) {
 	return a.AnalyzeAPKContext(context.Background(), apkBytes)
 }
@@ -92,9 +92,7 @@ func (a *Analyzer) AnalyzeAPK(apkBytes []byte) (*AppResult, error) {
 // resulting span tree in AppResult.Trace.
 func (a *Analyzer) AnalyzeAPKContext(ctx context.Context, apkBytes []byte) (*AppResult, error) {
 	ctx, span := trace.Start(ctx, "analyze")
-	stop := a.opts.Metrics.Time("app.total")
 	res, err := a.analyzeAPK(ctx, apkBytes)
-	stop()
 	if err != nil {
 		span.EndErr(err)
 		a.opts.Metrics.Add("status."+string(StatusAnalysisError), 1)
@@ -113,10 +111,8 @@ func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult,
 
 	_, sUnpack := trace.Start(ctx, "unpack")
 	mUnpack := profile.MeterSpan(sUnpack)
-	tUnpack := time.Now()
 	u, err := a.opts.Tool.Unpack(apkBytes)
 	if err != nil {
-		a.opts.Metrics.Observe("stage.unpack", time.Since(tUnpack))
 		mUnpack()
 		if errors.Is(err, apktool.ErrDecompile) {
 			sUnpack.SetAttr("anti-decompile", "true")
@@ -132,7 +128,6 @@ func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult,
 	res.PreFilter = obfuscation.PreFilter(u)
 	det := obfuscation.Detector{Tool: a.opts.Tool}
 	res.Obfuscation = det.AnalyzeUnpacked(u)
-	a.opts.Metrics.Observe("stage.unpack", time.Since(tUnpack))
 	sUnpack.SetAttr("dex-dcl", strconv.FormatBool(res.PreFilter.HasDexDCL))
 	sUnpack.SetAttr("native-dcl", strconv.FormatBool(res.PreFilter.HasNativeDCL))
 	mUnpack()
@@ -156,9 +151,7 @@ func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult,
 	if !u.APK.Manifest.HasPermission(apk.WriteExternalStorage) {
 		_, sRewrite := trace.Start(ctx, "rewrite")
 		mRewrite := profile.MeterSpan(sRewrite)
-		tRewrite := time.Now()
 		rewritten, err := a.opts.Tool.RepackParsed(u.APK)
-		a.opts.Metrics.Observe("stage.rewrite", time.Since(tRewrite))
 		mRewrite()
 		if err != nil {
 			if errors.Is(err, apktool.ErrRepack) {
@@ -178,7 +171,6 @@ func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult,
 	// the device runs out of space (automatic exception handling).
 	dctx, sDynamic := trace.Start(ctx, "dynamic")
 	mDynamic := profile.MeterSpan(sDynamic)
-	tDynamic := time.Now()
 	run, err := a.runDynamic(dctx, runPrep, nil)
 	if err != nil && isNoSpace(err) {
 		a.opts.Metrics.Add("dynamic.nospace-retries", 1)
@@ -187,7 +179,6 @@ func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult,
 			dev.Storage.RemovePrefix(LogRoot)
 		})
 	}
-	a.opts.Metrics.Observe("stage.dynamic", time.Since(tDynamic))
 	mDynamic()
 	if err != nil {
 		sDynamic.EndErr(err)
@@ -220,11 +211,9 @@ func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult,
 
 	_, sStatic := trace.Start(ctx, "static")
 	mStatic := profile.MeterSpan(sStatic)
-	tStatic := time.Now()
 	a.staticOnIntercepted(res)
 	minSDK := u.APK.Manifest.MinSDK
 	res.Vulns = AnalyzeVulnerabilities(res.Package, minSDK, res.Events)
-	a.opts.Metrics.Observe("stage.static", time.Since(tStatic))
 	sStatic.SetAttr("malware", strconv.Itoa(len(res.Malware)))
 	sStatic.SetAttr("vulns", strconv.Itoa(len(res.Vulns)))
 	mStatic()
@@ -480,7 +469,6 @@ func (a *Analyzer) ReplayPreparedContext(ctx context.Context, prep *PreparedApp,
 	ctx, span := trace.Start(ctx, "replay")
 	span.SetAttr("config", string(cfg))
 	defer profile.MeterSpan(span)()
-	defer a.opts.Metrics.Time("stage.replay")()
 	run, err := a.runDynamic(ctx, prep, func(dev *android.Device) {
 		switch cfg {
 		case ConfigTimeBeforeRelease:

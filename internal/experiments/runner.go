@@ -7,8 +7,11 @@
 // The runner is built for marketplace scale: per-app failures are retried
 // once and then recorded as StatusAnalysisError records instead of
 // aborting a multi-hour run (FailRecord, the default), or aggregated and
-// returned after cancelling dispatch (FailFast). Every run carries a
-// metrics registry whose per-stage histograms surface in Results.RunStats.
+// returned after cancelling dispatch (FailFast). Every app runs under one
+// span tree (AppResult.Trace); the run folds each tree into its fleet
+// snapshot (Results.Fleet), whose span histograms and slowest-apps list
+// are the run's latency report. Status and retry counters land in
+// Results.RunStats.
 package experiments
 
 import (
@@ -16,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -89,13 +91,11 @@ type Config struct {
 	// land in RunStats. Open the store with Version experiments.WarmVersion.
 	Warm *resultstore.Store
 	// TraceDir, when non-empty, is created if missing and receives the
-	// run's observability artifacts: traces.jsonl (the kept slowest app
-	// span trees, one per line), runstats.json (the RunStats block) and
-	// fleet.json (the shard's mergeable measurement snapshot).
+	// run's observability artifacts: traces.jsonl (the span trees of the
+	// apps Results.Fleet ranks slowest, one per line), runstats.json (the
+	// RunStats block) and fleet.json (the shard's mergeable measurement
+	// snapshot).
 	TraceDir string
-	// SlowTraces bounds how many of the slowest app traces the run keeps
-	// in RunStats.Slowest (default 5, negative disables keeping traces).
-	SlowTraces int
 
 	// analyze is the per-app analysis function, replaceable in tests to
 	// inject failures. It receives a context carrying the app's trace.
@@ -133,34 +133,9 @@ type RunStats struct {
 	// StatusCounts tallies the per-app Table II statuses (including
 	// analysis-error records).
 	StatusCounts map[core.Status]int
-	// Stages holds the per-stage duration histograms
-	// (stage.unpack/rewrite/dynamic/static/replay, app.total).
-	Stages map[string]metrics.StageStats
-	// Counters is the raw counter section of the metrics snapshot.
+	// Counters is the raw counter section of the metrics snapshot. Stage
+	// latency is not here: it is Results.Fleet's span histograms.
 	Counters map[string]int64
-	// StageQuantiles holds exact per-stage latency percentiles computed
-	// from the collected span trees, keyed by span name (app, analyze,
-	// unpack, rewrite, dynamic, interception, static, replay). Unlike
-	// Stages (bucketed histograms), these are true order statistics.
-	StageQuantiles map[string]Quantiles `json:"stage_quantiles,omitempty"`
-	// Slowest lists the slowest fresh analyses by root span duration,
-	// slowest first, each carrying its full span tree.
-	Slowest []SlowApp `json:"slowest,omitempty"`
-}
-
-// Quantiles are exact order statistics over one stage's span durations.
-type Quantiles struct {
-	Count int           `json:"count"`
-	P50   time.Duration `json:"p50"`
-	P95   time.Duration `json:"p95"`
-	P99   time.Duration `json:"p99"`
-}
-
-// SlowApp is one kept slow-app trace.
-type SlowApp struct {
-	Package string        `json:"package"`
-	Total   time.Duration `json:"total"`
-	Trace   *trace.Trace  `json:"trace"`
 }
 
 // String renders the stats block as an aligned report section.
@@ -182,28 +157,7 @@ func (s RunStats) String() string {
 		b.WriteString(t.String())
 		b.WriteString("\n")
 	}
-	b.WriteString(metrics.Snapshot{Counters: s.Counters, Stages: s.Stages}.String())
-	if len(s.StageQuantiles) > 0 {
-		names := make([]string, 0, len(s.StageQuantiles))
-		for name := range s.StageQuantiles {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		t := stats.NewTable("trace quantiles (exact)", "span", "count", "p50", "p95", "p99")
-		for _, name := range names {
-			q := s.StageQuantiles[name]
-			t.Row(name, q.Count, q.P50.Round(time.Microsecond).String(),
-				q.P95.Round(time.Microsecond).String(), q.P99.Round(time.Microsecond).String())
-		}
-		b.WriteString("\n")
-		b.WriteString(t.String())
-	}
-	if len(s.Slowest) > 0 {
-		fmt.Fprintf(&b, "\nslowest apps:\n")
-		for _, sl := range s.Slowest {
-			fmt.Fprintf(&b, "  %-40s %s\n", sl.Package, sl.Total.Round(time.Microsecond))
-		}
-	}
+	b.WriteString(metrics.Snapshot{Counters: s.Counters}.String())
 	return b.String()
 }
 
@@ -214,12 +168,13 @@ type Results struct {
 	Records []*AppRecord
 	// Elapsed is the wall-clock measurement time.
 	Elapsed time.Duration
-	// RunStats carries throughput, failure counts and per-stage timings.
+	// RunStats carries throughput, failure and status counts.
 	RunStats RunStats
 	// Fleet is the run's mergeable measurement snapshot — the same shape
-	// dydroidd serves at /v1/fleet. With Config.TraceDir set it is also
-	// written as fleet.json, so sharded runs can be combined with
-	// `apkinspect fleet merge`.
+	// dydroidd serves at /v1/fleet. Its span histograms and slowest-apps
+	// list (Fleet.LatencyReport) are the run's latency figures. With
+	// Config.TraceDir set it is also written as fleet.json, so sharded
+	// runs can be combined with `apkinspect fleet merge`.
 	Fleet *telemetry.Snapshot
 }
 
@@ -256,9 +211,6 @@ func Run(cfg Config) (*Results, error) {
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 2
-	}
-	if cfg.SlowTraces == 0 {
-		cfg.SlowTraces = 5
 	}
 	parent := cfg.Context
 	if parent == nil {
@@ -337,12 +289,11 @@ func Run(cfg Config) (*Results, error) {
 			}
 		}()
 	}
-	collector := newTraceCollector(cfg.SlowTraces)
 	fleet := telemetry.New(telemetry.Options{})
 
 	// runTraced wraps one analysis attempt in a fresh per-app trace whose
 	// root "app" span covers the pipeline plus any replays; successful
-	// attempts feed the collector and the fleet aggregator.
+	// attempts feed the fleet aggregator.
 	runTraced := func(an *core.Analyzer, app *corpus.StoreApp, digest string) (*AppRecord, error) {
 		actx, root := trace.Start(ctx, "app")
 		if digest != "" {
@@ -352,7 +303,6 @@ func Run(cfg Config) (*Results, error) {
 		root.SetAttr("package", app.Spec.Pkg)
 		root.EndErr(err)
 		if err == nil {
-			collector.add(app.Spec.Pkg, trace.FromContext(actx))
 			fleet.ObserveApp(rec.Result, trace.FromContext(actx))
 		}
 		return rec, err
@@ -439,10 +389,9 @@ func Run(cfg Config) (*Results, error) {
 		Elapsed: elapsed,
 	}
 	res.RunStats = buildStats(reg, records, elapsed, failed, retried)
-	res.RunStats.StageQuantiles, res.RunStats.Slowest = collector.stats()
 	res.Fleet = fleet.Snapshot()
 	if cfg.TraceDir != "" {
-		if err := writeTraceDir(cfg.TraceDir, res.RunStats, res.Fleet); err != nil {
+		if err := writeTraceDir(cfg.TraceDir, res); err != nil {
 			return nil, err
 		}
 	}
@@ -473,7 +422,6 @@ func buildStats(reg *metrics.Registry, records []*AppRecord, elapsed time.Durati
 		Failed:       failed,
 		Retried:      retried,
 		StatusCounts: make(map[core.Status]int),
-		Stages:       snap.Stages,
 		Counters:     snap.Counters,
 	}
 	if secs := elapsed.Seconds(); secs > 0 {

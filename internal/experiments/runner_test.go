@@ -199,8 +199,9 @@ func TestRunCancellationMidRun(t *testing.T) {
 	}
 }
 
-// TestRunStatsSnapshot: a healthy run exposes non-zero per-stage timings
-// and throughput.
+// TestRunStatsSnapshot: a healthy run exposes throughput and status
+// counts in RunStats, and non-zero per-span timings in its fleet
+// snapshot — the one place stage latency is aggregated.
 func TestRunStatsSnapshot(t *testing.T) {
 	res := small(t)
 	st := res.RunStats
@@ -213,23 +214,28 @@ func TestRunStatsSnapshot(t *testing.T) {
 	if st.Failed != 0 || st.Succeeded != st.Apps {
 		t.Fatalf("failed/succeeded = %d/%d", st.Failed, st.Succeeded)
 	}
-	for _, stage := range []string{"stage.unpack", "stage.dynamic", "stage.static", "stage.replay", "app.total"} {
-		hs, ok := st.Stages[stage]
-		if !ok || hs.Count == 0 {
-			t.Fatalf("stage %s missing from stats: %+v", stage, st.Stages)
+	for _, span := range []string{"unpack", "dynamic", "static", "replay", "analyze"} {
+		h, ok := res.Fleet.Stages[span]
+		if !ok || h.Count == 0 {
+			t.Fatalf("span %s missing from the fleet histograms: %v", span, res.Fleet.Stages)
 		}
-		if hs.Total <= 0 || hs.Max <= 0 {
-			t.Fatalf("stage %s has zero timings: %+v", stage, hs)
+		if h.SumNS <= 0 || h.MaxNS <= 0 {
+			t.Fatalf("span %s has zero timings: %+v", span, h)
 		}
 	}
-	if st.Stages["app.total"].Count != int64(st.Apps) {
-		t.Fatalf("app.total count = %d, want %d", st.Stages["app.total"].Count, st.Apps)
+	if got := res.Fleet.Stages["analyze"].Count; got != int64(st.Apps) {
+		t.Fatalf("analyze span count = %d, want %d", got, st.Apps)
 	}
 	if len(st.StatusCounts) == 0 || st.StatusCounts[core.StatusAnalysisError] != 0 {
 		t.Fatalf("status counts = %+v", st.StatusCounts)
 	}
+	// The pipeline's status counters reach RunStats; its stage timings do
+	// not pass through the registry any more.
+	if got := st.Counters["status."+string(core.StatusExercised)]; got != int64(st.StatusCounts[core.StatusExercised]) {
+		t.Fatalf("status.exercised counter = %d, want %d", got, st.StatusCounts[core.StatusExercised])
+	}
 	out := st.String()
-	for _, want := range []string{"apps/sec", "stage.dynamic", "status"} {
+	for _, want := range []string{"apps/sec", "status.exercised", "status"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("RunStats rendering missing %q:\n%s", want, out)
 		}

@@ -6,80 +6,85 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/dydroid/dydroid/internal/trace"
 )
 
-// TestRunStageQuantilesFromTraces: a healthy run carries exact per-span
-// quantiles sourced from the collected traces, one "app" root per app.
+// TestRunStageQuantilesFromTraces: a healthy run folds every app's span
+// tree into the fleet's per-span histograms, one "app" root per app, and
+// the run's latency report renders them with the slowest apps.
 func TestRunStageQuantilesFromTraces(t *testing.T) {
 	res := small(t)
-	st := res.RunStats
-	if len(st.StageQuantiles) == 0 {
-		t.Fatal("no stage quantiles collected")
-	}
+	stages := res.Fleet.Stages
 	for _, span := range []string{"app", "analyze", "unpack", "dynamic", "static", "replay"} {
-		q, ok := st.StageQuantiles[span]
-		if !ok || q.Count == 0 {
-			t.Fatalf("span %q missing from quantiles: %+v", span, st.StageQuantiles)
+		h, ok := stages[span]
+		if !ok || h.Count == 0 {
+			t.Fatalf("span %q missing from the fleet histograms: %v", span, stages)
 		}
-		if q.P50 <= 0 || q.P50 > q.P95 || q.P95 > q.P99 {
-			t.Fatalf("span %q quantiles not monotone: %+v", span, q)
+		p50, p95, p99 := h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
+		if p50 <= 0 || p50 > p95 || p95 > p99 {
+			t.Fatalf("span %q quantiles not monotone: %v %v %v", span, p50, p95, p99)
 		}
 	}
-	if got, want := st.StageQuantiles["app"].Count, st.Apps; got != want {
+	if got, want := stages["app"].Count, int64(res.RunStats.Apps); got != want {
 		t.Fatalf("app span count = %d, want %d", got, want)
 	}
 	// Four replay configs per malware-flagged app.
-	if got := st.StageQuantiles["replay"].Count; got%4 != 0 || got <= 0 || got > 4*st.Apps {
-		t.Fatalf("replay span count = %d, want positive multiple of 4 <= %d", got, 4*st.Apps)
+	if got := stages["replay"].Count; got%4 != 0 || got <= 0 || got > 4*int64(res.RunStats.Apps) {
+		t.Fatalf("replay span count = %d, want positive multiple of 4 <= %d", got, 4*res.RunStats.Apps)
 	}
-	out := st.String()
-	for _, want := range []string{"trace quantiles", "slowest apps:"} {
+	out := res.Fleet.LatencyReport()
+	for _, want := range []string{"Stage latency", "Slowest analyses", "replay"} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("RunStats rendering missing %q:\n%s", want, out)
+			t.Fatalf("latency report missing %q:\n%s", want, out)
 		}
 	}
 }
 
-// TestRunKeepsSlowestTraces: the runner retains a bounded, sorted list of
-// the slowest app traces, each rooted at a span covering the whole app.
+// TestRunKeepsSlowestTraces: the fleet's slowest-apps list is the one
+// ranking, sorted slowest first, and each entry resolves to the retained
+// span tree of its record, rooted at a span covering the whole app.
 func TestRunKeepsSlowestTraces(t *testing.T) {
 	res := small(t)
-	slow := res.RunStats.Slowest
+	slow := res.Fleet.SlowestApps.Entries
 	if len(slow) == 0 {
-		t.Fatal("no slow traces kept")
+		t.Fatal("no slowest apps ranked")
 	}
-	if len(slow) > 5 {
-		t.Fatalf("kept %d traces, want <= default 5", len(slow))
+	traces := res.slowTraces()
+	if len(traces) != len(slow) {
+		t.Fatalf("resolved %d traces for %d slowest apps", len(traces), len(slow))
 	}
 	for i, s := range slow {
-		if s.Package == "" || s.Trace == nil || s.Trace.Root == nil {
-			t.Fatalf("slow entry %d incomplete: %+v", i, s)
+		tr := traces[i]
+		if tr.Root == nil || tr.Root.Name != "app" {
+			t.Fatalf("slow entry %d root span = %+v, want app", i, tr.Root)
 		}
-		if s.Trace.Root.Name != "app" {
-			t.Fatalf("slow entry %d root span = %q, want app", i, s.Trace.Root.Name)
+		// Unpack failures never learn their package name, so the fleet
+		// ranks them under "".
+		if got := tr.Root.Attr("package"); s.Package != "" && got != s.Package {
+			t.Fatalf("slow entry %d trace is for %q, want %q", i, got, s.Package)
 		}
-		if s.Total != s.Trace.Root.Duration() {
-			t.Fatalf("slow entry %d total %s != root duration %s", i, s.Total, s.Trace.Root.Duration())
+		if int64(tr.Root.Duration()) != s.NS {
+			t.Fatalf("slow entry %d total %d != root duration %s", i, s.NS, tr.Root.Duration())
 		}
-		if i > 0 && s.Total > slow[i-1].Total {
-			t.Fatalf("slow traces not sorted: %s > %s at %d", s.Total, slow[i-1].Total, i)
+		if i > 0 && s.NS > slow[i-1].NS {
+			t.Fatalf("slowest apps not sorted: %d > %d at %d", s.NS, slow[i-1].NS, i)
 		}
 	}
 }
 
-// TestRunWritesTraceDir: with TraceDir set, the run persists the kept
-// traces as JSONL and the RunStats block as JSON, both round-trippable.
+// TestRunWritesTraceDir: with TraceDir set, the run persists the traces
+// of the fleet's slowest apps as JSONL, in ranking order, and the
+// RunStats block as JSON, both round-trippable.
 func TestRunWritesTraceDir(t *testing.T) {
 	dir := t.TempDir()
-	res, err := Run(Config{Seed: 17, Scale: 0.002, Workers: 2, TraceDir: dir, SlowTraces: 3})
+	res, err := Run(Config{Seed: 17, Scale: 0.002, Workers: 2, TraceDir: dir})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(res.RunStats.Slowest) == 0 || len(res.RunStats.Slowest) > 3 {
-		t.Fatalf("Slowest = %d entries, want 1..3", len(res.RunStats.Slowest))
+	slow := res.Fleet.SlowestApps.Entries
+	if len(slow) == 0 {
+		t.Fatal("no slowest apps ranked")
 	}
 
 	f, err := os.Open(filepath.Join(dir, "traces.jsonl"))
@@ -91,15 +96,16 @@ func TestRunWritesTraceDir(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeJSONL: %v", err)
 	}
-	if len(traces) != len(res.RunStats.Slowest) {
-		t.Fatalf("persisted %d traces, want %d", len(traces), len(res.RunStats.Slowest))
+	if len(traces) != len(slow) {
+		t.Fatalf("persisted %d traces, want %d", len(traces), len(slow))
 	}
+	want := res.slowTraces()
 	for i, tr := range traces {
 		if tr.Root == nil || tr.Root.Name != "app" {
 			t.Fatalf("trace %d has no app root", i)
 		}
-		if tr.Root.Duration() <= 0 {
-			t.Fatalf("trace %d root duration = %s", i, tr.Root.Duration())
+		if tr.ID != want[i].ID {
+			t.Fatalf("trace %d is %s, want slowest entry %d's trace %s", i, tr.ID, i, want[i].ID)
 		}
 	}
 
@@ -111,108 +117,8 @@ func TestRunWritesTraceDir(t *testing.T) {
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatalf("runstats.json decode: %v", err)
 	}
-	if st.Apps != res.RunStats.Apps || len(st.StageQuantiles) == 0 {
-		t.Fatalf("persisted RunStats incomplete: apps=%d quantiles=%d", st.Apps, len(st.StageQuantiles))
-	}
-}
-
-// TestQuantileExact pins the nearest-rank definition.
-func TestQuantileExact(t *testing.T) {
-	durs := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	cases := []struct {
-		q    float64
-		want time.Duration
-	}{
-		{0.50, 5}, {0.95, 10}, {0.99, 10}, {0.10, 1}, {1.0, 10},
-	}
-	for _, c := range cases {
-		if got := quantileExact(durs, c.q); got != c.want {
-			t.Fatalf("quantileExact(q=%v) = %d, want %d", c.q, got, c.want)
-		}
-	}
-	if got := quantileExact(nil, 0.5); got != 0 {
-		t.Fatalf("quantileExact(nil) = %d, want 0", got)
-	}
-}
-
-// TestQuantileExactBoundaries pins the integer-ceiling ranks at the
-// counts the float-epsilon implementation was prone to misrank: n where
-// q·n is exactly integral, n=1, and large n.
-func TestQuantileExactBoundaries(t *testing.T) {
-	seq := func(n int) []time.Duration {
-		out := make([]time.Duration, n)
-		for i := range out {
-			out[i] = time.Duration(i + 1) // sorted: value == rank
-		}
-		return out
-	}
-	cases := []struct {
-		n    int
-		q    float64
-		want time.Duration // == ceil(q·n)
-	}{
-		// q·n exactly integral: nearest-rank must land on rank q·n, not q·n+1.
-		{100, 0.95, 95},
-		{100, 0.50, 50},
-		{200, 0.99, 198},
-		{20, 0.95, 19},
-		{4, 0.25, 1},
-		{10, 0.10, 1},
-		// n=1: every quantile is the single observation.
-		{1, 0.50, 1},
-		{1, 0.95, 1},
-		{1, 0.99, 1},
-		// Non-integral q·n rounds up.
-		{3, 0.50, 2},  // ceil(1.5)
-		{7, 0.29, 3},  // ceil(2.03)
-		{10, 0.95, 10}, // ceil(9.5)
-		// Large n at an exactly-integral boundary.
-		{1_000_000, 0.95, 950_000},
-		{1_000_000, 0.99, 990_000},
-		{9_999_999, 0.50, 5_000_000}, // ceil(4999999.5)
-	}
-	for _, c := range cases {
-		if got := quantileExact(seq(c.n), c.q); got != c.want {
-			t.Fatalf("quantileExact(n=%d, q=%v) = rank %d, want rank %d", c.n, c.q, got, c.want)
-		}
-	}
-}
-
-// TestStatsDoesNotMutateCollector: stats() is a getter — it must sort a
-// copy, so the live distributions keep append order and interleaved
-// add/stats sequences yield the same quantiles as a single batch.
-func TestStatsDoesNotMutateCollector(t *testing.T) {
-	base := time.Unix(0, 0)
-	mk := func(d time.Duration) *trace.Trace {
-		return &trace.Trace{ID: "t", Root: &trace.Span{Name: "app", StartAt: base, EndAt: base.Add(d)}}
-	}
-	c := newTraceCollector(0)
-	// Descending insert order so an in-place sort is detectable.
-	for _, d := range []time.Duration{50, 40, 30} {
-		c.add("pkg", mk(d))
-	}
-	q1, _ := c.stats()
-	if q1["app"].P50 != 40 {
-		t.Fatalf("first stats p50 = %d, want 40", q1["app"].P50)
-	}
-	if got := c.durs["app"]; got[0] != 50 || got[1] != 40 || got[2] != 30 {
-		t.Fatalf("stats() mutated the live distribution: %v", got)
-	}
-	// Interleaved adds after a stats call must still rank globally.
-	for _, d := range []time.Duration{20, 10} {
-		c.add("pkg", mk(d))
-	}
-	q2, _ := c.stats()
-	if q2["app"].Count != 5 || q2["app"].P50 != 30 || q2["app"].P99 != 50 {
-		t.Fatalf("second stats = %+v, want count 5, p50 30, p99 50", q2["app"])
-	}
-	// A fresh collector fed the same values in one batch agrees exactly.
-	batch := newTraceCollector(0)
-	for _, d := range []time.Duration{10, 20, 30, 40, 50} {
-		batch.add("pkg", mk(d))
-	}
-	qb, _ := batch.stats()
-	if qb["app"] != q2["app"] {
-		t.Fatalf("interleaved stats %+v != batch stats %+v", q2["app"], qb["app"])
+	if st.Apps != res.RunStats.Apps || len(st.StatusCounts) == 0 || len(st.Counters) == 0 {
+		t.Fatalf("persisted RunStats incomplete: apps=%d statuses=%d counters=%d",
+			st.Apps, len(st.StatusCounts), len(st.Counters))
 	}
 }

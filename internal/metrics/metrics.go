@@ -1,14 +1,16 @@
 // Package metrics provides the lightweight instrumentation layer of the
-// measurement harness: named counters and duration histograms with cheap
-// concurrent updates and point-in-time snapshots. The pipeline records
-// per-stage timings (unpack/rewrite/dynamic/static/replay) and status
-// counts into a Registry; the experiment runner aggregates one Registry
-// per run into its RunStats block. No external dependencies.
+// measurement harness: named counters, gauges and duration histograms
+// with cheap concurrent updates and point-in-time snapshots, plus Hist,
+// the one mergeable duration distribution of the repository. Stage
+// latency is not recorded here: every pipeline and review stage is a
+// span, and the fleet aggregator folds span durations into Hists. The
+// registry keeps status and retry counters and histograms only for
+// intervals no span covers (the vetting daemon's service.job). No
+// external dependencies.
 package metrics
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -16,22 +18,6 @@ import (
 	"text/tabwriter"
 	"time"
 )
-
-// numBuckets is the histogram resolution: bucket i covers durations in
-// (1µs·2^(i-1), 1µs·2^i], so the top bucket reaches past half an hour.
-const numBuckets = 32
-
-// NumBuckets is the shared histogram resolution, exported so other
-// packages (the fleet telemetry aggregator) can build duration
-// distributions that merge bucket-for-bucket with this registry's.
-const NumBuckets = numBuckets
-
-// BucketOf returns the index of the exponential bucket holding d, under
-// the same scheme the registry's histograms use.
-func BucketOf(d time.Duration) int { return bucketOf(d) }
-
-// BucketBound is the inclusive upper bound of bucket i.
-func BucketBound(i int) time.Duration { return bucketBound(i) }
 
 // Registry holds named counters, gauges and histograms. All methods are safe for
 // concurrent use, and every method is a no-op on a nil receiver so callers
@@ -129,30 +115,27 @@ func (r *Registry) Gauge(name string) int64 {
 	return atomic.LoadInt64(g)
 }
 
-// HistSnapshot returns the current summary of the named histogram (the
-// zero StageStats when it was never observed). It is the histogram
-// counterpart of the Counter point-read: callers inspecting one stage no
-// longer pay for a full Snapshot.
-func (r *Registry) HistSnapshot(name string) StageStats {
+// HistSnapshot returns a copy of the named histogram (empty when it was
+// never observed). It is the histogram counterpart of the Counter
+// point-read: callers inspecting one histogram do not pay for a full
+// Snapshot.
+func (r *Registry) HistSnapshot(name string) *Hist {
 	if r == nil {
-		return StageStats{}
+		return &Hist{}
 	}
 	r.mu.Lock()
 	h, ok := r.hists[name]
 	r.mu.Unlock()
 	if !ok {
-		return StageStats{}
+		return &Hist{}
 	}
-	return h.stats()
+	return h.snapshot()
 }
 
 // Observe records one duration into the named histogram.
 func (r *Registry) Observe(name string, d time.Duration) {
 	if r == nil {
 		return
-	}
-	if d < 0 {
-		d = 0
 	}
 	r.mu.Lock()
 	h, ok := r.hists[name]
@@ -174,113 +157,37 @@ func (r *Registry) Time(name string) func() {
 	return func() { r.Observe(name, time.Since(start)) }
 }
 
-// histogram is an exponentially-bucketed duration distribution.
+// histogram guards one registry Hist for concurrent observers.
 type histogram struct {
-	mu      sync.Mutex
-	buckets [numBuckets]int64
-	count   int64
-	total   time.Duration
-	min     time.Duration
-	max     time.Duration
-}
-
-func bucketOf(d time.Duration) int {
-	us := uint64(d / time.Microsecond)
-	b := bits.Len64(us) // 0 for sub-µs, else 1+floor(log2(µs))
-	if b >= numBuckets {
-		b = numBuckets - 1
-	}
-	return b
-}
-
-// bucketBound is the inclusive upper bound of bucket i.
-func bucketBound(i int) time.Duration {
-	return time.Microsecond << i
+	mu sync.Mutex
+	h  Hist
 }
 
 func (h *histogram) observe(d time.Duration) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.buckets[bucketOf(d)]++
-	h.count++
-	h.total += d
-	if h.count == 1 || d < h.min {
-		h.min = d
-	}
-	if d > h.max {
-		h.max = d
-	}
+	h.h.Observe(d)
+	h.mu.Unlock()
 }
 
-func (h *histogram) stats() StageStats {
+func (h *histogram) snapshot() *Hist {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	s := StageStats{
-		Count: h.count,
-		Total: h.total,
-		Min:   h.min,
-		Max:   h.max,
-	}
-	if h.count == 0 {
-		return s
-	}
-	s.Mean = h.total / time.Duration(h.count)
-	s.P50 = h.quantileLocked(0.50)
-	s.P90 = h.quantileLocked(0.90)
-	s.P99 = h.quantileLocked(0.99)
-	return s
-}
-
-// quantileLocked returns the upper bound of the bucket holding the q-th
-// observation, clamped to the exact observed extremes.
-func (h *histogram) quantileLocked(q float64) time.Duration {
-	rank := int64(q * float64(h.count))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, n := range h.buckets {
-		cum += n
-		if cum >= rank {
-			b := bucketBound(i)
-			if b > h.max {
-				b = h.max
-			}
-			if b < h.min {
-				b = h.min
-			}
-			return b
-		}
-	}
-	return h.max
-}
-
-// StageStats summarizes one histogram at snapshot time.
-type StageStats struct {
-	Count int64
-	Total time.Duration
-	Min   time.Duration
-	Max   time.Duration
-	Mean  time.Duration
-	P50   time.Duration
-	P90   time.Duration
-	P99   time.Duration
+	return h.h.Clone()
 }
 
 // Snapshot is a point-in-time copy of a registry's state.
 type Snapshot struct {
 	Counters map[string]int64
 	Gauges   map[string]int64
-	Stages   map[string]StageStats
+	Hists    map[string]*Hist
 }
 
-// Snapshot copies out every counter value, gauge level and histogram
-// summary.
+// Snapshot copies out every counter value, gauge level and histogram.
 func (r *Registry) Snapshot() Snapshot {
 	snap := Snapshot{
 		Counters: make(map[string]int64),
 		Gauges:   make(map[string]int64),
-		Stages:   make(map[string]StageStats),
+		Hists:    make(map[string]*Hist),
 	}
 	if r == nil {
 		return snap
@@ -306,12 +213,13 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Gauges[name] = atomic.LoadInt64(g)
 	}
 	for name, h := range hists {
-		snap.Stages[name] = h.stats()
+		snap.Hists[name] = h.snapshot()
 	}
 	return snap
 }
 
-// String renders the snapshot as an aligned two-section table.
+// String renders the snapshot as aligned counter, gauge and histogram
+// tables.
 func (s Snapshot) String() string {
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
@@ -330,16 +238,17 @@ func (s Snapshot) String() string {
 			fmt.Fprintf(w, "%s\t%d\n", name, s.Gauges[name])
 		}
 	}
-	if len(s.Stages) > 0 {
+	if len(s.Hists) > 0 {
 		if len(s.Counters)+len(s.Gauges) > 0 {
 			fmt.Fprintln(w)
 		}
-		fmt.Fprintln(w, "stage\tcount\ttotal\tmean\tp50\tp90\tp99\tmax")
-		for _, name := range sortedKeys(s.Stages) {
-			st := s.Stages[name]
+		fmt.Fprintln(w, "histogram\tcount\ttotal\tmean\tp50\tp90\tp99\tmax")
+		for _, name := range sortedKeys(s.Hists) {
+			h := s.Hists[name]
 			fmt.Fprintf(w, "%s\t%d\t%s\t%s\t%s\t%s\t%s\t%s\n",
-				name, st.Count, round(st.Total), round(st.Mean),
-				round(st.P50), round(st.P90), round(st.P99), round(st.Max))
+				name, h.Count, round(time.Duration(h.SumNS)), round(h.Mean()),
+				round(h.Quantile(0.50)), round(h.Quantile(0.90)), round(h.Quantile(0.99)),
+				round(time.Duration(h.MaxNS)))
 		}
 	}
 	w.Flush()

@@ -12,8 +12,7 @@ import (
 // text exposition format (version 0.0.4), the `/v1/metricz?format=prom`
 // body of the vetting daemon. Metric names are prefixed "dydroid_" and
 // sanitized (runs of non-alphanumerics collapse to '_'); histograms
-// render cumulative le buckets in seconds plus _sum and _count, matching
-// the registry's exponential microsecond bucketing.
+// render through WriteHistogram.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
 		return
@@ -45,34 +44,39 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 	for _, name := range sortedKeys(hists) {
 		pn := promName(name) + "_seconds"
-		buckets, count, total := hists[name].snapshotBuckets()
 		fmt.Fprintf(w, "# TYPE %s histogram\n", pn)
-		var cum int64
-		// Trailing empty buckets collapse into +Inf to keep the
-		// exposition compact; cumulative counts stay exact.
-		last := len(buckets) - 1
-		for last > 0 && buckets[last] == 0 {
-			last--
-		}
-		for i := 0; i <= last; i++ {
-			cum += buckets[i]
-			fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", pn, bucketBound(i).Seconds(), cum)
-		}
-		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", pn, count)
-		fmt.Fprintf(w, "%s_sum %g\n", pn, total.Seconds())
-		fmt.Fprintf(w, "%s_count %d\n", pn, count)
+		WriteHistogram(w, pn, "", hists[name].snapshot())
 	}
 }
 
-// snapshotBuckets copies out the raw distribution for exposition.
-func (h *histogram) snapshotBuckets() (buckets [numBuckets]int64, count int64, total time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.buckets, h.count, h.total
+// WriteHistogram renders h as one Prometheus histogram series of the
+// family pn (a full metric name, e.g. "dydroid_span_seconds"):
+// cumulative le buckets in seconds plus _sum and _count. labels, when
+// non-empty, is a rendered label list (`span="scan"`) carried on every
+// line. The caller writes the family's "# TYPE" line once, so several
+// labelled series can share it.
+func WriteHistogram(w io.Writer, pn, labels string, h *Hist) {
+	sep := ""
+	if labels != "" {
+		sep = ","
+	}
+	var cum int64
+	// Buckets are trimmed after the last non-empty one, so trailing empty
+	// buckets collapse into +Inf; cumulative counts stay exact.
+	for i, n := range h.Buckets {
+		cum += n
+		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%g\"} %d\n", pn, labels, sep, bucketBound(i).Seconds(), cum)
+	}
+	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", pn, labels, sep, h.Count)
+	if labels != "" {
+		labels = "{" + labels + "}"
+	}
+	fmt.Fprintf(w, "%s_sum%s %g\n", pn, labels, time.Duration(h.SumNS).Seconds())
+	fmt.Fprintf(w, "%s_count%s %d\n", pn, labels, h.Count)
 }
 
-// promName maps a registry name like "stage.unpack" or
-// "status.no-dcl" to a Prometheus-safe "dydroid_stage_unpack" /
+// promName maps a registry name like "service.job" or
+// "status.no-dcl" to a Prometheus-safe "dydroid_service_job" /
 // "dydroid_status_no_dcl".
 func promName(name string) string {
 	var b strings.Builder

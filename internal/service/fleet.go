@@ -6,11 +6,13 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime/debug"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"github.com/dydroid/dydroid/internal/events"
+	"github.com/dydroid/dydroid/internal/metrics"
 	"github.com/dydroid/dydroid/internal/profile"
 	"github.com/dydroid/dydroid/internal/telemetry"
 	"github.com/dydroid/dydroid/internal/trace"
@@ -41,11 +43,30 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	events.EncodeJSONL(w, s.cfg.Journal.Log().Entries)
 }
 
+// writeSpanProm appends the fleet's span latency histograms to a
+// Prometheus exposition: one dydroid_span_seconds{span="…"} series per
+// span name (scan, review, analyze, each executed pipeline stage, …).
+func writeSpanProm(w io.Writer, snap *telemetry.Snapshot) {
+	if len(snap.Stages) == 0 {
+		return
+	}
+	names := make([]string, 0, len(snap.Stages))
+	for name := range snap.Stages {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	const family = "dydroid_span_seconds"
+	fmt.Fprintf(w, "# TYPE %s histogram\n", family)
+	for _, name := range names {
+		metrics.WriteHistogram(w, family, fmt.Sprintf("span=%q", name), snap.Stages[name])
+	}
+}
+
 // writeSLOProm appends the SLO burn-rate gauges to a Prometheus
 // exposition. The registry only carries int64 counters and gauges, so
 // the float-valued SLO lines are rendered here from the live reports.
-func (s *Server) writeSLOProm(w io.Writer) {
-	reports := s.cfg.Fleet.Snapshot().SLO.Reports(s.now())
+func (s *Server) writeSLOProm(w io.Writer, snap *telemetry.Snapshot) {
+	reports := snap.SLO.Reports(s.now())
 	if len(reports) == 0 {
 		return
 	}

@@ -3,15 +3,19 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/dydroid/dydroid/internal/apk"
+	"github.com/dydroid/dydroid/internal/bouncer"
 	"github.com/dydroid/dydroid/internal/core"
+	"github.com/dydroid/dydroid/internal/corpus"
 	"github.com/dydroid/dydroid/internal/metrics"
 	"github.com/dydroid/dydroid/internal/resultstore"
 	"github.com/dydroid/dydroid/internal/trace"
@@ -266,5 +270,91 @@ func TestRequestLogging(t *testing.T) {
 	}
 	if resultLine.Digest != digest || resultLine.Trace != TraceID(digest) {
 		t.Fatalf("result log line = %+v", resultLine)
+	}
+}
+
+// TestMetriczSpanHistograms: /v1/metricz?format=prom exposes stage
+// latency as one dydroid_span_seconds histogram series per span name of
+// the scan's trace — scan, review, analyze and every executed pipeline
+// stage — next to the registry's service.job histogram.
+func TestMetriczSpanHistograms(t *testing.T) {
+	st, err := corpus.Generate(corpus.Config{Seed: 3, Scale: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clf, err := st.TrainingSet(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A malware app runs the whole pipeline, not just unpack.
+	var target *corpus.StoreApp
+	for _, app := range st.Apps {
+		if app.Spec.MalwareFamily != "" {
+			target = app
+			break
+		}
+	}
+	if target == nil {
+		t.Fatal("no malware app in the store")
+	}
+	apkBytes, err := st.BuildAPK(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, err := apk.SigningDigest(apkBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := trace.OpenStore(trace.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newStubServer(t, Config{
+		Analyzer: core.NewAnalyzer(core.Options{Seed: 3, Classifier: clf, Network: st.Network, SetupDevice: st.SetupDevice}),
+		Reviewer: &bouncer.Reviewer{Classifier: clf, Network: st.Network},
+		Workers:  1,
+		Traces:   traces,
+	}, nil)
+	postScan(t, ts, apkBytes)
+	pollResult(t, ts, digest)
+	tr, err := traces.Get(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int{}
+	tr.Root.Walk(func(sp *trace.Span) { spans[sp.Name]++ })
+	for _, name := range []string{"scan", "review", "analyze", "unpack", "dynamic", "static"} {
+		if spans[name] == 0 {
+			t.Fatalf("scan trace has no %q span: %v", name, spans)
+		}
+	}
+
+	// The job histogram lands just after the verdict is served.
+	var body string
+	deadline := time.Now().Add(10 * time.Second)
+	for !strings.Contains(body, "dydroid_service_job_seconds_count 1") {
+		if time.Now().After(deadline) {
+			t.Fatalf("prom exposition never showed the finished job:\n%s", body)
+		}
+		resp, err := http.Get(ts.URL + "/v1/metricz?format=prom")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		body = string(raw)
+	}
+	if n := strings.Count(body, "# TYPE dydroid_span_seconds histogram"); n != 1 {
+		t.Fatalf("span family declared %d times, want once:\n%s", n, body)
+	}
+	for name, n := range spans {
+		for _, want := range []string{
+			fmt.Sprintf("dydroid_span_seconds_count{span=%q} %d\n", name, n),
+			fmt.Sprintf("dydroid_span_seconds_bucket{span=%q,le=\"+Inf\"} %d\n", name, n),
+		} {
+			if !strings.Contains(body, want) {
+				t.Fatalf("prom exposition missing %q:\n%s", want, body)
+			}
+		}
 	}
 }

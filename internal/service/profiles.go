@@ -65,8 +65,8 @@ func (s *Server) sloTriggers(digest string) {
 
 // writeCostProm appends the per-stage resource-attribution gauges to a
 // Prometheus exposition, one labelled series per metered pipeline stage.
-func (s *Server) writeCostProm(w io.Writer) {
-	costs := s.cfg.Fleet.Snapshot().Costs
+func writeCostProm(w io.Writer, snap *telemetry.Snapshot) {
+	costs := snap.Costs
 	if len(costs) == 0 {
 		return
 	}

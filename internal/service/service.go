@@ -104,8 +104,8 @@ type Server struct {
 	jobs chan *job
 	wg   sync.WaitGroup
 
-	mu       sync.Mutex
-	closed   bool
+	mu     sync.Mutex
+	closed bool
 	// drainLogged dedups the drain-finished journal event across
 	// repeated Shutdown calls.
 	drainLogged bool
@@ -383,7 +383,7 @@ const coldStartJobLatency = time.Second
 // completed analysis (or without a metrics registry) the mean is unknown
 // and a nominal per-job second stands in.
 func (s *Server) retryAfterSeconds() int {
-	mean := s.reg.HistSnapshot("service.job").Mean
+	mean := s.reg.HistSnapshot("service.job").Mean()
 	if mean <= 0 {
 		mean = coldStartJobLatency
 	}
@@ -463,8 +463,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"inflight":    inflight,
 		"workers":     s.cfg.Workers,
 		"jobs_done":   job.Count,
-		"job_p50_ms":  float64(job.P50) / float64(time.Millisecond),
-		"job_p99_ms":  float64(job.P99) / float64(time.Millisecond),
+		"job_p50_ms":  float64(job.Quantile(0.50)) / float64(time.Millisecond),
+		"job_p99_ms":  float64(job.Quantile(0.99)) / float64(time.Millisecond),
 	})
 }
 
@@ -488,8 +488,10 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 				fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", c.name, c.name, c.value)
 			}
 		}
-		s.writeSLOProm(w)
-		s.writeCostProm(w)
+		snap := s.cfg.Fleet.Snapshot()
+		writeSpanProm(w, snap)
+		s.writeSLOProm(w, snap)
+		writeCostProm(w, snap)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -552,7 +554,7 @@ func (s *Server) worker() {
 	for j := range s.jobs {
 		s.noteQueueLevel()
 		stop := s.reg.Time("service.job")
-		rec, err := s.analyze(j)
+		rec, err := s.runJob(j)
 		var raw json.RawMessage
 		if err == nil {
 			raw, err = rec.Marshal()
@@ -575,6 +577,18 @@ func (s *Server) worker() {
 		}
 		stop()
 	}
+}
+
+// runJob runs one submission's analysis, turning a panic into that job's
+// error: the failure is pinned to the digest and counted like any other,
+// and the daemon keeps serving every other job.
+func (s *Server) runJob(j *job) (rec *Record, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("analysis panic: %v", p)
+		}
+	}()
+	return s.analyze(j)
 }
 
 // analyzeAPK is the real work function: optional Bouncer review, then the

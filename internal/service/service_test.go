@@ -629,3 +629,70 @@ func TestNewRequiresAnalyzer(t *testing.T) {
 		t.Fatal("New accepted an empty config")
 	}
 }
+
+// TestWorkerRecoversAnalysisPanic: a panic inside one analysis fails
+// only that job — pinned to its digest as "analysis panic: …" and
+// counted in service.analyze.errors — and the same single worker then
+// serves a correct verdict for a clean submission.
+func TestWorkerRecoversAnalysisPanic(t *testing.T) {
+	reg := metrics.New()
+	s, ts := newStubServer(t, Config{Analyzer: core.NewAnalyzer(core.Options{Seed: 1}), Workers: 1, Metrics: reg}, nil)
+	bad := tinyAPK(t, "com.panics")
+	badDigest, err := apk.SigningDigest(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	real := s.analyze
+	s.analyze = func(j *job) (*Record, error) {
+		if j.digest == badDigest {
+			panic("injected analysis bug")
+		}
+		return real(j)
+	}
+
+	if resp, body := postScan(t, ts, bad); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("scan: %d %s", resp.StatusCode, body)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, body := getResult(t, ts, badDigest)
+		if resp.StatusCode == http.StatusBadGateway {
+			var sr scanResponse
+			if err := json.Unmarshal(body, &sr); err != nil {
+				t.Fatal(err)
+			}
+			if sr.Status != "failed" || sr.Error != "analysis panic: injected analysis bug" {
+				t.Fatalf("failure body = %s", body)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("panic never surfaced as a failure: %d %s", resp.StatusCode, body)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := reg.Counter("service.analyze.errors"); got != 1 {
+		t.Fatalf("service.analyze.errors = %d, want 1", got)
+	}
+
+	good := tinyAPK(t, "com.clean")
+	goodDigest, err := apk.SigningDigest(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postScan(t, ts, good); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("clean scan: %d %s", resp.StatusCode, body)
+	}
+	served := pollResult(t, ts, goodDigest)
+	res, err := core.NewAnalyzer(core.Options{Seed: 1}).AnalyzeAPK(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewRecord(goodDigest, res, nil).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, want) {
+		t.Fatalf("verdict after a panic differs from a direct run:\nserved: %s\ndirect: %s", served, want)
+	}
+}

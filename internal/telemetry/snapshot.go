@@ -46,9 +46,9 @@ type Snapshot struct {
 	// verdict.approved / verdict.rejected.
 	Counters map[string]int64 `json:"counters,omitempty"`
 
-	// Stages maps span names to mergeable latency distributions using the
-	// same exponential buckets as internal/metrics.
-	Stages map[string]*Hist `json:"stages,omitempty"`
+	// Stages maps span names to their mergeable latency distributions:
+	// every span of every ingested trace lands in its name's histogram.
+	Stages map[string]*metrics.Hist `json:"stages,omitempty"`
 
 	// Costs is the per-stage resource attribution table: CPU time and
 	// allocation deltas parsed from the cost attrs the profiling meter
@@ -99,7 +99,7 @@ func NewSnapshot(topK, slowest, ring int) *Snapshot {
 		Version:      SnapshotVersion,
 		Shards:       1,
 		Counters:     make(map[string]int64),
-		Stages:       make(map[string]*Hist),
+		Stages:       make(map[string]*metrics.Hist),
 		Costs:        make(map[string]*StageCost),
 		TopEntities:  TopK{K: topK},
 		SlowestApps:  TopApps{K: slowest},
@@ -130,15 +130,13 @@ func Merge(dst, src *Snapshot) error {
 		dst.Counters[k] += v
 	}
 	if dst.Stages == nil {
-		dst.Stages = make(map[string]*Hist, len(src.Stages))
+		dst.Stages = make(map[string]*metrics.Hist, len(src.Stages))
 	}
 	for name, h := range src.Stages {
 		if cur, ok := dst.Stages[name]; ok {
 			cur.Merge(h)
 		} else {
-			cp := *h
-			cp.Buckets = append([]int64(nil), h.Buckets...)
-			dst.Stages[name] = &cp
+			dst.Stages[name] = h.Clone()
 		}
 	}
 	if dst.Costs == nil && len(src.Costs) > 0 {
@@ -202,95 +200,6 @@ func ReadSnapshot(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("telemetry: %s: snapshot version %d, want %d", path, s.Version, SnapshotVersion)
 	}
 	return s, nil
-}
-
-// Hist is a mergeable duration distribution over the exponential bucket
-// scheme of internal/metrics (bucket i covers (1µs·2^(i-1), 1µs·2^i]).
-// Trailing empty buckets are trimmed in the serialized form; Merge and
-// Observe handle the ragged lengths.
-type Hist struct {
-	Buckets []int64 `json:"buckets,omitempty"`
-	Count   int64   `json:"count"`
-	SumNS   int64   `json:"sum_ns"`
-	MinNS   int64   `json:"min_ns"`
-	MaxNS   int64   `json:"max_ns"`
-}
-
-// Observe folds one duration into the distribution.
-func (h *Hist) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	i := metrics.BucketOf(d)
-	for len(h.Buckets) <= i {
-		h.Buckets = append(h.Buckets, 0)
-	}
-	h.Buckets[i]++
-	h.Count++
-	h.SumNS += int64(d)
-	if h.Count == 1 || int64(d) < h.MinNS {
-		h.MinNS = int64(d)
-	}
-	if int64(d) > h.MaxNS {
-		h.MaxNS = int64(d)
-	}
-}
-
-// Merge adds o's observations into h, bucket for bucket.
-func (h *Hist) Merge(o *Hist) {
-	if o == nil || o.Count == 0 {
-		return
-	}
-	for len(h.Buckets) < len(o.Buckets) {
-		h.Buckets = append(h.Buckets, 0)
-	}
-	for i, n := range o.Buckets {
-		h.Buckets[i] += n
-	}
-	if h.Count == 0 || o.MinNS < h.MinNS {
-		h.MinNS = o.MinNS
-	}
-	if o.MaxNS > h.MaxNS {
-		h.MaxNS = o.MaxNS
-	}
-	h.Count += o.Count
-	h.SumNS += o.SumNS
-}
-
-// Mean is the average observed duration.
-func (h *Hist) Mean() time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	return time.Duration(h.SumNS / h.Count)
-}
-
-// Quantile returns the upper bound of the bucket holding the q-th
-// observation, clamped to the observed extremes (the same estimator as
-// the metrics registry's histograms).
-func (h *Hist) Quantile(q float64) time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	rank := int64(q * float64(h.Count))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, n := range h.Buckets {
-		cum += n
-		if cum >= rank {
-			b := metrics.BucketBound(i)
-			if int64(b) > h.MaxNS {
-				b = time.Duration(h.MaxNS)
-			}
-			if int64(b) < h.MinNS {
-				b = time.Duration(h.MinNS)
-			}
-			return b
-		}
-	}
-	return time.Duration(h.MaxNS)
 }
 
 // StageCost is the mergeable resource bill of one pipeline stage:

@@ -22,6 +22,7 @@ import (
 
 	"github.com/dydroid/dydroid/internal/core"
 	"github.com/dydroid/dydroid/internal/events"
+	"github.com/dydroid/dydroid/internal/metrics"
 	"github.com/dydroid/dydroid/internal/profile"
 	"github.com/dydroid/dydroid/internal/trace"
 )
@@ -171,7 +172,7 @@ func (a *Aggregator) ObserveApp(res *core.AppResult, tr *trace.Trace) {
 		tr.Root.Walk(func(sp *trace.Span) {
 			h := s.Stages[sp.Name]
 			if h == nil {
-				h = &Hist{}
+				h = &metrics.Hist{}
 				s.Stages[sp.Name] = h
 			}
 			h.Observe(sp.Duration())
@@ -260,7 +261,7 @@ func (a *Aggregator) Snapshot() *Snapshot {
 		Apps:         s.Apps,
 		Errors:       s.Errors,
 		Counters:     make(map[string]int64, len(s.Counters)),
-		Stages:       make(map[string]*Hist, len(s.Stages)),
+		Stages:       make(map[string]*metrics.Hist, len(s.Stages)),
 		Costs:        make(map[string]*StageCost, len(s.Costs)),
 		TopEntities:  TopK{K: s.TopEntities.K, Entries: append([]TopEntry(nil), s.TopEntities.Entries...)},
 		SlowestApps:  TopApps{K: s.SlowestApps.K, Entries: append([]SlowApp(nil), s.SlowestApps.Entries...)},
@@ -273,9 +274,7 @@ func (a *Aggregator) Snapshot() *Snapshot {
 		cp.Counters[k] = v
 	}
 	for name, h := range s.Stages {
-		hc := *h
-		hc.Buckets = append([]int64(nil), h.Buckets...)
-		cp.Stages[name] = &hc
+		cp.Stages[name] = h.Clone()
 	}
 	for name, sc := range s.Costs {
 		scc := *sc

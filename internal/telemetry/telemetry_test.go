@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -113,17 +114,20 @@ func TestNilAggregatorIsNoOp(t *testing.T) {
 	}
 }
 
+// TestHistMatchesMetricsBuckets: the fleet's span histograms are the
+// registry's histogram type, so folding spans of given durations yields
+// exactly what a registry histogram observing the same durations holds.
 func TestHistMatchesMetricsBuckets(t *testing.T) {
-	h := &Hist{}
+	a := New(Options{})
 	reg := metrics.New()
-	for _, d := range []time.Duration{3 * time.Microsecond, 900 * time.Microsecond, 12 * time.Millisecond, 12 * time.Millisecond} {
-		h.Observe(d)
-		reg.Observe("stage", d)
+	base := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
+	for i, d := range []time.Duration{3 * time.Microsecond, 900 * time.Microsecond, 12 * time.Millisecond, 12 * time.Millisecond} {
+		a.ObserveApp(&core.AppResult{Package: "p"}, appTrace(string(rune('a'+i)), base, 2*d, d))
+		reg.Observe("analyze", d)
 	}
-	want := reg.HistSnapshot("stage")
-	if h.Count != want.Count || h.Quantile(0.5) != want.P50 || time.Duration(h.MaxNS) != want.Max {
-		t.Fatalf("hist (count=%d p50=%v max=%v) disagrees with metrics (count=%d p50=%v max=%v)",
-			h.Count, h.Quantile(0.5), time.Duration(h.MaxNS), want.Count, want.P50, want.Max)
+	got, want := a.Snapshot().Stages["analyze"], reg.HistSnapshot("analyze")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fleet span hist %+v disagrees with registry hist %+v", got, want)
 	}
 }
 
