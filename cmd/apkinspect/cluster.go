@@ -5,9 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	"strings"
-	"time"
 
 	"github.com/dydroid/dydroid/internal/cluster"
 )
@@ -31,22 +28,9 @@ func runCluster(w io.Writer, args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: apkinspect cluster status [-json] <coordinator-url>")
 	}
-	base := strings.TrimRight(fs.Arg(0), "/")
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	resp, err := client.Get(base + "/v1/cluster/status")
+	body, _, err := httpGet(fs.Arg(0), "/v1/cluster/status")
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("coordinator answered %d: %s", resp.StatusCode, body)
 	}
 	if *asJSON {
 		_, err := w.Write(append(body, '\n'))

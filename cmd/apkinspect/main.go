@@ -47,11 +47,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sort"
-	"strings"
-	"time"
 
 	"github.com/dydroid/dydroid/internal/apktool"
 	"github.com/dydroid/dydroid/internal/nativebin"
@@ -160,28 +157,15 @@ func runTrace(w io.Writer, args []string) error {
 // coordinator and renders the tree, naming the node that stitched it
 // when the answer carries one.
 func renderRemoteTrace(w io.Writer, base, digest string) error {
-	base = strings.TrimRight(base, "/")
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
-	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	resp, err := client.Get(base + "/v1/trace/" + digest)
+	body, header, err := httpGet(base, "/v1/trace/"+digest)
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("trace %s: status %d: %s", digest, resp.StatusCode, body)
 	}
 	var t trace.Trace
 	if err := json.Unmarshal(body, &t); err != nil {
 		return fmt.Errorf("decode trace: %w", err)
 	}
-	if node := resp.Header.Get("X-Dydroid-Node"); node != "" {
+	if node := header.Get("X-Dydroid-Node"); node != "" {
 		fmt.Fprintf(w, "worker subtree from %s\n", node)
 	}
 	trace.Render(w, &t)

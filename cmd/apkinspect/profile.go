@@ -96,7 +96,7 @@ func runProfile(w io.Writer, args []string) error {
 // window array; coordinators answer the federated envelope with
 // node-tagged rows — both decode to the same table.
 func fetchProfileIndex(base string) ([]profile.Meta, []byte, error) {
-	body, err := httpGetAll(normalizeBase(base) + "/v1/profiles")
+	body, _, err := httpGet(base, "/v1/profiles")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -138,11 +138,11 @@ func resolveWindow(base, arg string) (*profile.Window, error) {
 		return win, nil
 	}
 	id, node, _ := strings.Cut(arg, "@")
-	target := normalizeBase(base) + "/v1/profiles/" + url.PathEscape(id)
+	path := "/v1/profiles/" + url.PathEscape(id)
 	if node != "" {
-		target += "?node=" + url.QueryEscape(node)
+		path += "?node=" + url.QueryEscape(node)
 	}
-	body, err := httpGetAll(target)
+	body, _, err := httpGet(base, path)
 	if err != nil {
 		return nil, err
 	}
@@ -161,19 +161,23 @@ func normalizeBase(base string) string {
 	return base
 }
 
-func httpGetAll(target string) ([]byte, error) {
+// httpGet GETs path from a daemon or coordinator base URL ("host:port"
+// or a full URL) and returns a 200 answer's body, read up to 32 MiB, and
+// its header.
+func httpGet(base, path string) ([]byte, http.Header, error) {
+	target := normalizeBase(base) + path
 	client := &http.Client{Timeout: 30 * time.Second}
 	resp, err := client.Get(target)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: status %d: %s", target, resp.StatusCode, body)
+		return nil, nil, fmt.Errorf("GET %s: status %d: %s", target, resp.StatusCode, body)
 	}
-	return body, nil
+	return body, resp.Header, nil
 }

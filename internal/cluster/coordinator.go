@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -26,8 +25,6 @@ type Config struct {
 	// Nodes is the explicit-join member list: worker addresses
 	// ("host:port" or full base URLs). At least one is required.
 	Nodes []string
-	// VNodes is the virtual-node count per member (default DefaultVNodes).
-	VNodes int
 	// ProbeInterval is the health-probe period (default 2s).
 	ProbeInterval time.Duration
 	// ProbeFailures is K: a node is ejected from the ring after K
@@ -38,10 +35,6 @@ type Config struct {
 	// touches at most this many distinct nodes in ring order before the
 	// coordinator answers 502 (default 3).
 	MaxAttempts int
-	// MaxBodyBytes bounds one forwarded submission (default 64 MiB).
-	MaxBodyBytes int64
-	// Client performs node requests (default: 30s-timeout client).
-	Client *http.Client
 	// Metrics receives coordinator counters. Optional.
 	Metrics *metrics.Registry
 	// Traces stores the coordinator's per-scan route span trees, keyed by
@@ -73,6 +66,7 @@ type member struct {
 	lastErr  string
 	degraded bool
 	draining bool
+
 	queueLen, queueDepth, inflight int
 	snapshotVersion                int
 	ejections                      int64
@@ -100,9 +94,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, errors.New("cluster: Config.Nodes requires at least one worker")
 	}
-	if cfg.VNodes <= 0 {
-		cfg.VNodes = DefaultVNodes
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 2 * time.Second
 	}
@@ -111,12 +102,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 64 << 20
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 30 * time.Second}
 	}
 	if cfg.Traces == nil {
 		st, err := trace.OpenStore(trace.StoreOptions{Metrics: cfg.Metrics})
@@ -134,8 +119,8 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:     cfg,
 		reg:     cfg.Metrics,
-		client:  cfg.Client,
-		ring:    NewRing(cfg.VNodes),
+		client:  &http.Client{Timeout: 30 * time.Second},
+		ring:    NewRing(DefaultVNodes),
 		members: make(map[string]*member, len(cfg.Nodes)),
 		done:    make(chan struct{}),
 	}
@@ -283,12 +268,12 @@ func (c *Coordinator) rejoinLocked(m *member) {
 // event — the reroute is visible, never silent.
 func (c *Coordinator) handleScan(w http.ResponseWriter, r *http.Request) {
 	c.reg.Add("cluster.scan.requests", 1)
-	body, err := io.ReadAll(io.LimitReader(r.Body, c.cfg.MaxBodyBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
-	if int64(len(body)) > c.cfg.MaxBodyBytes {
+	if len(body) > maxBody {
 		httpError(w, http.StatusRequestEntityTooLarge, "submission exceeds size limit")
 		return
 	}
@@ -326,27 +311,28 @@ func (c *Coordinator) handleScan(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Header.Set("Content-Type", "application/octet-stream")
 		req.Header.Set(headerParent, trace.ParentRef(rt.ID, sp.ID))
-		resp, err := c.client.Do(req)
-		if err != nil {
-			sp.EndErr(err)
-			lastErr = err
-			c.noteForward(m, err)
-			c.reg.Add("cluster.scan.failover", 1)
-			c.cfg.Journal.Record(events.Event{
-				Type: events.ScanFailover, Node: m.name, Digest: digest,
-				Detail: err.Error(),
-			})
-			continue
+		err := c.do(req, maxBody, func(resp *http.Response) error {
+			sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
+			sp.End()
+			c.noteForward(m, nil)
+			if i > 0 {
+				c.reg.Add("cluster.scan.rerouted", 1)
+			}
+			c.reg.Add("cluster.scan.forwarded", 1)
+			relay(w, resp, m.name)
+			return nil
+		})
+		if err == nil {
+			return
 		}
-		sp.SetAttr("status", strconv.Itoa(resp.StatusCode))
-		sp.End()
-		c.noteForward(m, nil)
-		if i > 0 {
-			c.reg.Add("cluster.scan.rerouted", 1)
-		}
-		c.reg.Add("cluster.scan.forwarded", 1)
-		relay(w, resp, m.name)
-		return
+		sp.EndErr(err)
+		lastErr = err
+		c.noteForward(m, err)
+		c.reg.Add("cluster.scan.failover", 1)
+		c.cfg.Journal.Record(events.Event{
+			Type: events.ScanFailover, Node: m.name, Digest: digest,
+			Detail: err.Error(),
+		})
 	}
 	c.reg.Add("cluster.scan.unroutable", 1)
 	if lastErr != nil {
@@ -363,7 +349,8 @@ func (c *Coordinator) handleScan(w http.ResponseWriter, r *http.Request) {
 const headerParent = "X-Dydroid-Parent"
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	c.proxyRead(w, r.PathValue("digest"), "/v1/result/")
+	digest := r.PathValue("digest")
+	c.relayFirst(r.Context(), w, c.candidates(digest), "/v1/result/"+digest, digestMiss)
 }
 
 // handleTrace serves the stitched cross-node span tree of a digest: the
@@ -376,12 +363,25 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	route, routeErr := c.cfg.Traces.Get(digest)
-	remote, node := c.fetchWorkerTrace(digest)
+	// The first candidate serving a worker span tree supplies the remote.
+	var remote *trace.Trace
+	var node string
+	c.walk(r.Context(), c.candidates(digest), "/v1/trace/"+digest, maxTraceBody, func(m *member, resp *http.Response) bool {
+		if resp.StatusCode != http.StatusOK {
+			return false
+		}
+		t, err := decodeJSON[trace.Trace](resp.Body)
+		if err != nil || t.Root == nil {
+			return false
+		}
+		remote, node = &t, m.name
+		return true
+	})
 	switch {
 	case routeErr != nil && remote == nil:
-		// Neither side knows the digest: fall back to the plain proxy so
+		// Neither side knows the digest: fall back to the plain relay so
 		// error semantics (404 vs 502) match the other read endpoints.
-		c.proxyRead(w, digest, "/v1/trace/")
+		c.relayFirst(r.Context(), w, c.candidates(digest), "/v1/trace/"+digest, digestMiss)
 		return
 	case routeErr != nil:
 		w.Header().Set("X-Dydroid-Node", node)
@@ -393,80 +393,6 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Dydroid-Node", node)
 	}
 	writeJSON(w, http.StatusOK, route)
-}
-
-// fetchWorkerTrace pulls the first available worker span tree for a
-// digest from the candidate window, returning it with the serving node's
-// name ("" when no node has one).
-func (c *Coordinator) fetchWorkerTrace(digest string) (*trace.Trace, string) {
-	for _, m := range c.candidates(digest) {
-		resp, err := c.client.Get(m.baseURL + "/v1/trace/" + digest)
-		if err != nil {
-			c.noteForward(m, err)
-			continue
-		}
-		c.noteForward(m, nil)
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			continue
-		}
-		var tr trace.Trace
-		err = json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&tr)
-		resp.Body.Close()
-		if err != nil || tr.Root == nil {
-			continue
-		}
-		return &tr, m.name
-	}
-	return nil, ""
-}
-
-// proxyRead fetches a digest-keyed read from its owning node. The same
-// bounded candidate window a scan used is probed in order, so a verdict
-// that failed over to a successor during a node death is still found:
-// a 404 from one node moves on to the next, any other answer is relayed.
-func (c *Coordinator) proxyRead(w http.ResponseWriter, digest, path string) {
-	var lastErr error
-	sawMiss := false
-	for _, m := range c.candidates(digest) {
-		resp, err := c.client.Get(m.baseURL + path + digest)
-		if err != nil {
-			lastErr = err
-			c.noteForward(m, err)
-			continue
-		}
-		c.noteForward(m, nil)
-		if resp.StatusCode == http.StatusNotFound {
-			sawMiss = true
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			continue
-		}
-		relay(w, resp, m.name)
-		return
-	}
-	switch {
-	case sawMiss:
-		httpError(w, http.StatusNotFound, "unknown digest")
-	case lastErr != nil:
-		httpError(w, http.StatusBadGateway, "no reachable node for digest: "+lastErr.Error())
-	default:
-		httpError(w, http.StatusServiceUnavailable, "no live nodes in ring")
-	}
-}
-
-// relay copies a node response to the client, naming the serving node.
-func relay(w http.ResponseWriter, resp *http.Response, node string) {
-	defer resp.Body.Close()
-	for _, h := range []string{"Content-Type", "Content-Disposition", "Retry-After", "X-Dydroid-Trace"} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.Header().Set("X-Dydroid-Node", node)
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
 }
 
 // handleHealthz is the coordinator's own liveness view.

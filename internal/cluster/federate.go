@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"sync"
 
 	"github.com/dydroid/dydroid/internal/events"
 	"github.com/dydroid/dydroid/internal/stats"
@@ -40,43 +38,19 @@ type FleetResponse struct {
 // prove byte-stable, so a cluster-wide MeasurementReport reproduces the
 // single-node report of the same corpus.
 func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	list := make([]*member, 0, len(c.members))
-	for _, m := range c.members {
-		list = append(list, m)
-	}
-	c.mu.Unlock()
-
-	type fetched struct {
-		name string
-		snap *telemetry.Snapshot
-		err  error
-	}
-	results := make([]fetched, len(list))
-	var wg sync.WaitGroup
-	for i, m := range list {
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			snap, err := c.fetchSnapshot(r.Context(), m.baseURL)
-			results[i] = fetched{name: m.name, snap: snap, err: err}
-		}(i, m)
-	}
-	wg.Wait()
-
+	results := federate(c, r.Context(), "/v1/fleet", maxBody, decodeJSON[*telemetry.Snapshot])
 	merged := telemetry.NewSnapshot(0, 0, 0)
 	merged.Shards = 0
 	var missing []string
 	for _, f := range results {
 		if f.err == nil {
-			f.err = telemetry.Merge(merged, f.snap)
+			f.err = telemetry.Merge(merged, f.val)
 		}
 		if f.err != nil {
 			missing = append(missing, f.name)
 			c.reg.Add("cluster.fleet.missing", 1)
 		}
 	}
-	sort.Strings(missing)
 	if len(missing) > 0 {
 		c.reg.Add("cluster.fleet.partial", 1)
 	}
@@ -84,32 +58,11 @@ func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
 	// the members' journals in the federated timeline.
 	merged.Events.Merge(c.cfg.Journal.Log())
 	writeJSON(w, http.StatusOK, FleetResponse{
-		Nodes:        len(list),
+		Nodes:        len(results),
 		NodesMissing: len(missing),
 		Missing:      missing,
 		Snapshot:     merged,
 	})
-}
-
-// fetchSnapshot pulls one node's fleet snapshot.
-func (c *Coordinator) fetchSnapshot(ctx context.Context, base string) (*telemetry.Snapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/fleet", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: status %d", resp.StatusCode)
-	}
-	snap := new(telemetry.Snapshot)
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(snap); err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	return snap, nil
 }
 
 // handleEvents federates the ops timeline: every member's /v1/events
@@ -118,51 +71,15 @@ func (c *Coordinator) fetchSnapshot(ctx context.Context, base string) (*telemetr
 // merge dedups identical entries, so refetching a member (or a member
 // appearing in several coordinators' views) never duplicates history.
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	list := make([]*member, 0, len(c.members))
-	for _, m := range c.members {
-		list = append(list, m)
-	}
-	c.mu.Unlock()
-
-	logs := make([]events.Log, len(list))
-	var wg sync.WaitGroup
-	for i, m := range list {
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			evs, err := c.fetchEvents(r.Context(), m.baseURL)
-			if err != nil {
-				return // a dead node contributes nothing; its ejection is in our own journal
-			}
-			logs[i] = events.Log{K: events.DefaultCap, Entries: evs}
-		}(i, m)
-	}
-	wg.Wait()
-
 	merged := c.cfg.Journal.Log()
-	for _, l := range logs {
-		merged.Merge(l)
+	for _, f := range federate(c, r.Context(), "/v1/events", maxIndexBody, events.DecodeJSONL) {
+		// A dead node contributes nothing; its ejection is in our own journal.
+		if f.err == nil {
+			merged.Merge(events.Log{K: events.DefaultCap, Entries: f.val})
+		}
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	events.EncodeJSONL(w, merged.Entries)
-}
-
-// fetchEvents pulls one node's journal.
-func (c *Coordinator) fetchEvents(ctx context.Context, base string) ([]events.Event, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/events", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("events: status %d", resp.StatusCode)
-	}
-	return events.DecodeJSONL(io.LimitReader(resp.Body, 8<<20))
 }
 
 // NodeStatus is one worker's row in the cluster status view.
@@ -173,11 +90,11 @@ type NodeStatus struct {
 	Degraded bool `json:"degraded,omitempty"`
 	Draining bool `json:"draining,omitempty"`
 	// Failures is the current consecutive probe/forward failure streak.
-	Failures  int    `json:"consecutive_failures,omitempty"`
-	LastError string `json:"last_error,omitempty"`
-	QueueLen  int    `json:"queue_len"`
-	QueueDepth int   `json:"queue_depth"`
-	Inflight  int    `json:"inflight"`
+	Failures   int    `json:"consecutive_failures,omitempty"`
+	LastError  string `json:"last_error,omitempty"`
+	QueueLen   int    `json:"queue_len"`
+	QueueDepth int    `json:"queue_depth"`
+	Inflight   int    `json:"inflight"`
 	// RingShare is the node's fraction of the hash space (0 while
 	// ejected).
 	RingShare float64 `json:"ring_share"`

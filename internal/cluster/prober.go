@@ -2,9 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
 	"time"
 )
 
@@ -38,17 +35,16 @@ func (c *Coordinator) probeLoop() {
 	}
 }
 
+// nodeVersion is a worker's /v1/version body.
+type nodeVersion struct {
+	SnapshotVersion int `json:"snapshot_version"`
+}
+
 // probeAll probes every member once. Network I/O happens outside the
 // membership lock; state transitions inside it.
 func (c *Coordinator) probeAll() {
-	c.mu.Lock()
-	list := make([]*member, 0, len(c.members))
-	for _, m := range c.members {
-		list = append(list, m)
-	}
-	c.mu.Unlock()
-	for _, m := range list {
-		h, err := c.probeOne(m.baseURL)
+	for _, m := range c.memberList() {
+		h, err := probe[nodeHealth](c, m.baseURL, "/v1/healthz")
 		var ver int
 		if err == nil {
 			c.mu.Lock()
@@ -57,7 +53,9 @@ func (c *Coordinator) probeAll() {
 			if known == 0 {
 				// First contact (or first since recovery — version resets on
 				// eject): record the node's snapshot format for the status view.
-				ver, _ = c.fetchSnapshotVersion(m.baseURL)
+				if v, verr := probe[nodeVersion](c, m.baseURL, "/v1/version"); verr == nil {
+					ver = v.SnapshotVersion
+				}
 			}
 		}
 		c.mu.Lock()
@@ -89,51 +87,10 @@ func (c *Coordinator) probeAll() {
 	}
 }
 
-// probeOne performs one bounded health probe.
-func (c *Coordinator) probeOne(base string) (nodeHealth, error) {
+// probe GETs one small JSON status body from a member, bounded in time
+// by the probe interval and in size by maxProbeBody.
+func probe[T any](c *Coordinator, base, path string) (T, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeInterval)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/healthz", nil)
-	if err != nil {
-		return nodeHealth{}, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nodeHealth{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nodeHealth{}, fmt.Errorf("healthz: status %d", resp.StatusCode)
-	}
-	var h nodeHealth
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return nodeHealth{}, fmt.Errorf("healthz: %w", err)
-	}
-	return h, nil
-}
-
-// fetchSnapshotVersion reads the node's fleet-snapshot format version
-// from /v1/version (0 when unavailable).
-func (c *Coordinator) fetchSnapshotVersion(base string) (int, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeInterval)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/version", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("version: status %d", resp.StatusCode)
-	}
-	var v struct {
-		SnapshotVersion int `json:"snapshot_version"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return 0, err
-	}
-	return v.SnapshotVersion, nil
+	return getOK(c, ctx, base, path, maxProbeBody, decodeJSON[T])
 }

@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
-	"sync"
 
 	"github.com/dydroid/dydroid/internal/profile"
 )
@@ -30,30 +27,7 @@ type ProfilesResponse struct {
 // /v1/profiles/{id}?node= pin uses), and the union is served newest
 // first.
 func (c *Coordinator) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	list := make([]*member, 0, len(c.members))
-	for _, m := range c.members {
-		list = append(list, m)
-	}
-	c.mu.Unlock()
-
-	type fetched struct {
-		name  string
-		metas []profile.Meta
-		err   error
-	}
-	results := make([]fetched, len(list))
-	var wg sync.WaitGroup
-	for i, m := range list {
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			metas, err := c.fetchProfileIndex(r.Context(), m.baseURL)
-			results[i] = fetched{name: m.name, metas: metas, err: err}
-		}(i, m)
-	}
-	wg.Wait()
-
+	results := federate(c, r.Context(), "/v1/profiles", maxIndexBody, decodeJSON[[]profile.Meta])
 	var missing []string
 	windows := []profile.Meta{}
 	// The coordinator's own windows join the index under its own name.
@@ -67,12 +41,11 @@ func (c *Coordinator) handleProfiles(w http.ResponseWriter, r *http.Request) {
 			c.reg.Add("cluster.profiles.missing", 1)
 			continue
 		}
-		for _, meta := range f.metas {
+		for _, meta := range f.val {
 			meta.Node = f.name
 			windows = append(windows, meta)
 		}
 	}
-	sort.Strings(missing)
 	sort.Slice(windows, func(i, j int) bool {
 		if !windows[i].StartAt.Equal(windows[j].StartAt) {
 			return windows[i].StartAt.After(windows[j].StartAt)
@@ -83,32 +56,11 @@ func (c *Coordinator) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		return windows[i].ID > windows[j].ID
 	})
 	writeJSON(w, http.StatusOK, ProfilesResponse{
-		Nodes:        len(list),
+		Nodes:        len(results),
 		NodesMissing: len(missing),
 		Missing:      missing,
 		Windows:      windows,
 	})
-}
-
-// fetchProfileIndex pulls one member's window index.
-func (c *Coordinator) fetchProfileIndex(ctx context.Context, base string) ([]profile.Meta, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/profiles", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("profiles: status %d", resp.StatusCode)
-	}
-	var metas []profile.Meta
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&metas); err != nil {
-		return nil, fmt.Errorf("profiles: %w", err)
-	}
-	return metas, nil
 }
 
 // handleProfile fetches one captured window from the fleet. Window IDs
@@ -126,16 +78,7 @@ func (c *Coordinator) handleProfile(w http.ResponseWriter, r *http.Request) {
 	if pin == "" || pin == c.cfg.Node {
 		if win := c.cfg.Profiles.Get(id); win != nil {
 			w.Header().Set("X-Dydroid-Node", c.cfg.Node)
-			if r.URL.Query().Get("format") == "pprof" {
-				if len(win.Pprof) == 0 {
-					httpError(w, http.StatusNotFound, "window has no pprof bytes")
-					return
-				}
-				w.Header().Set("Content-Type", "application/octet-stream")
-				w.Write(win.Pprof)
-				return
-			}
-			writeJSON(w, http.StatusOK, win)
+			profile.WriteWindow(w, r, win)
 			return
 		}
 		if pin == c.cfg.Node {
@@ -144,52 +87,19 @@ func (c *Coordinator) handleProfile(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	c.mu.Lock()
-	list := make([]*member, 0, len(c.members))
-	for _, m := range c.members {
-		if pin != "" && m.name != pin {
-			continue
+	list := c.memberList()
+	if pin != "" {
+		list = slices.DeleteFunc(list, func(m *member) bool { return m.name != pin })
+		if len(list) == 0 {
+			httpError(w, http.StatusNotFound, "unknown node: "+pin)
+			return
 		}
-		list = append(list, m)
 	}
-	c.mu.Unlock()
-	if len(list) == 0 {
-		httpError(w, http.StatusNotFound, "unknown node: "+pin)
-		return
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].name < list[j].name })
-
 	path := "/v1/profiles/" + id
 	if f := r.URL.Query().Get("format"); f != "" {
 		path += "?format=" + f
 	}
-	var lastErr error
-	sawMiss := false
-	for _, m := range list {
-		resp, err := c.client.Get(m.baseURL + path)
-		if err != nil {
-			lastErr = err
-			c.noteForward(m, err)
-			continue
-		}
-		c.noteForward(m, nil)
-		if resp.StatusCode == http.StatusNotFound {
-			sawMiss = true
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			continue
-		}
-		relay(w, resp, m.name)
-		return
-	}
-	switch {
-	case sawMiss:
-		httpError(w, http.StatusNotFound, "unknown profile window")
-	case lastErr != nil:
-		httpError(w, http.StatusBadGateway, "no reachable node for window: "+lastErr.Error())
-	default:
-		httpError(w, http.StatusServiceUnavailable, "no live nodes")
-	}
+	c.relayFirst(r.Context(), w, list, path, windowMiss)
 }
 
 // handleMetricz serves the coordinator's own metrics registry — the

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -80,10 +82,13 @@ func TestFederatedProfileCapture(t *testing.T) {
 	_, tsA, _ := profiledWorker(t, "workerA")
 	_, tsB, _ := profiledWorker(t, "workerB")
 
+	// The coordinator's own ring stays empty until the end of the test.
+	coordRec := profile.New(profile.Options{Node: "coordinator", WindowDur: 20 * time.Millisecond})
 	coord, err := New(Config{
 		Nodes:         []string{tsA.URL, tsB.URL},
 		ProbeInterval: time.Hour,
 		Metrics:       metrics.New(),
+		Profiles:      coordRec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +171,9 @@ func TestFederatedProfileCapture(t *testing.T) {
 	if _, err := profile.ParseCPUProfile(raw, 5); err != nil {
 		t.Fatalf("federated pprof bytes do not parse: %v", err)
 	}
+	if got, want := resp.Header.Get("Content-Disposition"), downloadName(meta.ID); got != want {
+		t.Fatalf("relayed Content-Disposition = %q, want %q", got, want)
+	}
 
 	// CI keeps the captured window and its rendered top-functions table
 	// as artifacts — the same hook pattern the cluster status and trace
@@ -210,6 +218,38 @@ func TestFederatedProfileCapture(t *testing.T) {
 			t.Fatalf("GET %s = %d, want 404", path, resp.StatusCode)
 		}
 	}
+
+	// The coordinator's own window downloads exactly like a worker's. The
+	// CPU profiler is process-global, so retry while a worker's trailing
+	// capture holds it.
+	var own *profile.Window
+	for i := 0; i < 50 && (own == nil || len(own.Pprof) == 0); i++ {
+		own = coordRec.Capture(profile.TriggerSampler, "", "")
+	}
+	if len(own.Pprof) == 0 {
+		t.Fatalf("coordinator capture produced no pprof bytes: %s", own.Err)
+	}
+	resp, err = http.Get(cts.URL + "/v1/profiles/" + own.ID + "?node=coordinator&format=pprof")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(raw, own.Pprof) {
+		t.Fatalf("coordinator pprof download: %d, %d bytes, want %d", resp.StatusCode, len(raw), len(own.Pprof))
+	}
+	if got := resp.Header.Get("X-Dydroid-Node"); got != "coordinator" {
+		t.Fatalf("coordinator window X-Dydroid-Node = %q", got)
+	}
+	if got, want := resp.Header.Get("Content-Disposition"), downloadName(own.ID); got != want {
+		t.Fatalf("coordinator Content-Disposition = %q, want %q", got, want)
+	}
+}
+
+// downloadName is the Content-Disposition a raw pprof window download
+// carries.
+func downloadName(id string) string {
+	return fmt.Sprintf("attachment; filename=%q", id+".pb.gz")
 }
 
 // TestCoordinatorMetriczAndPprof: the coordinator exposes its own

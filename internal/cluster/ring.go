@@ -5,9 +5,9 @@
 // mergeable measurement snapshot.
 //
 // Placement is a classic consistent-hash ring with virtual nodes: each
-// worker contributes VNodes points (SHA-256 of "node#i"), a digest is
-// owned by the first point clockwise of its hash, and removing a node
-// moves only the keys that node owned. Membership is explicit-join —
+// worker contributes DefaultVNodes points (SHA-256 of "node#i"), a
+// digest is owned by the first point clockwise of its hash, and removing
+// a node moves only the keys that node owned. Membership is explicit-join —
 // the operator names every worker up front — with liveness maintained by
 // periodic /v1/healthz probes: a node failing K consecutive probes (or
 // K consecutive request forwards) is ejected from the ring and rejoins

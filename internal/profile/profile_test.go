@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,14 +13,22 @@ import (
 	"github.com/dydroid/dydroid/internal/trace"
 )
 
+// stubClock is a controllable clock safe to read from a triggered
+// capture goroutine while the test advances it.
+type stubClock struct{ unixNano atomic.Int64 }
+
+func (c *stubClock) now() time.Time { return time.Unix(0, c.unixNano.Load()).UTC() }
+
+func (c *stubClock) advance(d time.Duration) { c.unixNano.Add(int64(d)) }
+
 // stubRecorder returns a recorder whose profiler hands back the canned
 // deterministic profile instantly and whose clock is controllable.
-func stubRecorder(t *testing.T, opts Options) (*Recorder, *time.Time) {
+func stubRecorder(t *testing.T, opts Options) (*Recorder, *stubClock) {
 	t.Helper()
 	r := New(opts)
-	now := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	clock := &now
-	r.now = func() time.Time { return *clock }
+	clock := new(stubClock)
+	clock.unixNano.Store(time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC).UnixNano())
+	r.now = clock.now
 	canned := testProfile(t)
 	r.profiler = func(time.Duration) ([]byte, error) { return canned, nil }
 	return r, clock
@@ -77,7 +86,7 @@ func TestTriggerCooldown(t *testing.T) {
 	if !r.TryTrigger(TriggerSLOPrefix+"scan-availability", "d3", "") {
 		t.Fatal("distinct trigger key suppressed")
 	}
-	*clock = clock.Add(11 * time.Second)
+	clock.advance(11 * time.Second)
 	if !r.TryTrigger(TriggerWatchdog, "d4", "") {
 		t.Fatal("trigger after cooldown suppressed")
 	}
@@ -188,7 +197,7 @@ func TestMeterSpanStampsCostAttrs(t *testing.T) {
 func TestRenderTopAndDiff(t *testing.T) {
 	r, clock := stubRecorder(t, Options{Node: "w1"})
 	oldW := r.Capture(TriggerSampler, "", "")
-	*clock = clock.Add(time.Minute)
+	clock.advance(time.Minute)
 	newW := r.Capture(TriggerWatchdog, "deadbeef", "")
 	// Skew the new window so the diff has a regression to show.
 	newW.Summary.Top[0].FlatNS *= 3

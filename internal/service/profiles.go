@@ -23,28 +23,14 @@ func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, metas)
 }
 
-// handleProfile serves one captured window: the full JSON form by
-// default (summary + base64 pprof bytes), or the raw pprof protobuf
-// with ?format=pprof — directly loadable by `go tool pprof`.
+// handleProfile serves one captured window (see profile.WriteWindow).
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	win := s.cfg.Profiles.Get(id)
+	win := s.cfg.Profiles.Get(r.PathValue("id"))
 	if win == nil {
 		httpError(w, http.StatusNotFound, "unknown profile window")
 		return
 	}
-	if r.URL.Query().Get("format") == "pprof" {
-		if len(win.Pprof) == 0 {
-			httpError(w, http.StatusNotFound, "window has no pprof bytes")
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Disposition",
-			fmt.Sprintf("attachment; filename=%q", win.ID+".pb.gz"))
-		w.Write(win.Pprof)
-		return
-	}
-	writeJSON(w, http.StatusOK, win)
+	profile.WriteWindow(w, r, win)
 }
 
 // sloTriggers fires the SLO-alert capture path: every objective whose

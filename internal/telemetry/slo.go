@@ -241,9 +241,9 @@ type BurnWindow struct {
 // SLOReport is one objective's evaluated burn-rate view at a point in
 // time — the shape the dashboard tiles and Prometheus exposition render.
 type SLOReport struct {
-	Name        string  `json:"name"`
-	Target      float64 `json:"target"`
-	ThresholdNS int64   `json:"threshold_ns,omitempty"`
+	Name        string     `json:"name"`
+	Target      float64    `json:"target"`
+	ThresholdNS int64      `json:"threshold_ns,omitempty"`
 	Fast        BurnWindow `json:"fast"`
 	Slow        BurnWindow `json:"slow"`
 	// BudgetUsed is the fraction of the error budget spent over the whole
