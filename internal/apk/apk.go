@@ -221,37 +221,6 @@ func readEntry(f *zip.File) ([]byte, error) {
 	return content, nil
 }
 
-// VerifySignature recomputes the digest manifest over the archive and
-// compares it with the stored one. It reports tampering such as an
-// attacker swapping classes.dex (the integrity check whose absence on
-// dynamically loaded files is the Table IX vulnerability).
-func VerifySignature(data []byte) error {
-	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		return fmt.Errorf("apk: verify: %w", err)
-	}
-	entries := make(map[string][]byte)
-	var stored []byte
-	for _, f := range zr.File {
-		content, err := readEntry(f)
-		if err != nil {
-			return err
-		}
-		if f.Name == SignatureEntry {
-			stored = content
-			continue
-		}
-		entries[f.Name] = content
-	}
-	if stored == nil {
-		return fmt.Errorf("apk: verify: unsigned archive (no %s)", SignatureEntry)
-	}
-	if want := signatureManifest(entries); !bytes.Equal(stored, want) {
-		return fmt.Errorf("apk: verify: digest mismatch — archive was modified after signing")
-	}
-	return nil
-}
-
 // SigningDigest returns the content-addressed identity of an archive:
 // the hex SHA-256 over its stored signing manifest, which itself digests
 // every entry, so two archives share a digest exactly when their signed

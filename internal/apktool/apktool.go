@@ -128,29 +128,10 @@ func hostileClassName(name string) bool {
 	return unicode.IsDigit(r) || r == '-'
 }
 
-// Repack rewrites the app, adding WRITE_EXTERNAL_STORAGE to the manifest
-// when absent, and rebuilds/re-signs the archive. Archives protected by
-// the anti-repackaging marker fail.
-func (t Tool) Repack(data []byte) ([]byte, error) {
-	a, err := apk.Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("apktool: repack: %w", err)
-	}
-	cp, err := t.RepackParsed(a)
-	if err != nil {
-		return nil, err
-	}
-	out, err := apk.Build(cp)
-	if err != nil {
-		return nil, fmt.Errorf("apktool: repack: %w", err)
-	}
-	return out, nil
-}
-
-// RepackParsed is the parse-once rewrite path: it performs the same
-// anti-repackaging check and permission injection as Repack on an
-// already-parsed package, returning a rewritten deep copy without
-// serializing. Callers that need archive bytes (installers, digests)
+// RepackParsed rewrites an already-parsed app, adding
+// WRITE_EXTERNAL_STORAGE to the manifest when absent. Archives protected
+// by the anti-repackaging marker fail. It returns a rewritten deep copy
+// without serializing. Callers that need archive bytes (installers, digests)
 // apk.Build the result themselves — once, instead of per stage.
 func (t Tool) RepackParsed(a *apk.APK) (*apk.APK, error) {
 	if a.HasAntiRepack() {

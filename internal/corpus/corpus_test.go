@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"context"
 	"testing"
 
 	"github.com/dydroid/dydroid/internal/android"
@@ -373,7 +374,7 @@ func TestReplayGatesSuppressLoads(t *testing.T) {
 	if len(normal.NativeEvents()) == 0 {
 		t.Fatalf("gated malware did not load under normal config: %s (%v)", normal.Status, normal.Crash)
 	}
-	loaded, err := an.ReplayUnderConfig(data, core.ConfigTimeBeforeRelease, target.Meta.ReleaseDate)
+	loaded, err := an.ReplayPreparedContext(context.Background(), normal.Prepared, core.ConfigTimeBeforeRelease, target.Meta.ReleaseDate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,4 +417,42 @@ func TestCnadDownloadsTwoFiles(t *testing.T) {
 		return
 	}
 	t.Fatal("cnad app not generated")
+}
+
+// TestPreFilterSoundOnCorpus pins the static pre-filter's soundness on the
+// generated marketplace: every app it rules out (status no-dcl), run
+// through dynamic analysis anyway, is exercised and loads no code at all.
+func TestPreFilterSoundOnCorpus(t *testing.T) {
+	st, err := Generate(Config{Seed: 2016, Scale: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{Seed: 2016, Network: st.Network, SetupDevice: st.SetupDevice}
+	an := core.NewAnalyzer(opts)
+	opts.RunDynamicWithoutDCL = true
+	forced := core.NewAnalyzer(opts)
+	noDCL := 0
+	for _, app := range st.Apps {
+		data, err := st.BuildAPK(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := an.AnalyzeAPK(data)
+		if err != nil || res.Status != core.StatusNoDCL {
+			continue
+		}
+		noDCL++
+		got, err := forced.AnalyzeAPK(data)
+		if err != nil {
+			t.Fatalf("%s: forced dynamic analysis: %v", app.Spec.Pkg, err)
+		}
+		if got.Status != core.StatusExercised || len(got.Events) != 0 {
+			t.Errorf("%s: pre-filter said no DCL, forced run is %s with %d DCL events",
+				app.Spec.Pkg, got.Status, len(got.Events))
+		}
+	}
+	if noDCL == 0 {
+		t.Fatal("no no-dcl app at this scale")
+	}
+	t.Logf("%d no-dcl apps re-run with dynamic analysis forced", noDCL)
 }

@@ -7,8 +7,7 @@ import (
 )
 
 // Assemble parses smali-like text produced by DisassembleClass back into a
-// class. Together with Disassemble it gives the apktool analogue a real
-// decompile/reassemble cycle.
+// class. It is the oracle of the disassembler's round-trip tests.
 func Assemble(src string) (*Class, error) {
 	p := &asmParser{lines: strings.Split(src, "\n")}
 	c, err := p.parseClass()
@@ -16,23 +15,6 @@ func Assemble(src string) (*Class, error) {
 		return nil, fmt.Errorf("dex: assemble: line %d: %w", p.pos, err)
 	}
 	return c, nil
-}
-
-// AssembleFile assembles multiple smali sources into one file. Sources are
-// processed in the given order.
-func AssembleFile(sources []string) (*File, error) {
-	f := &File{}
-	for i, src := range sources {
-		c, err := Assemble(src)
-		if err != nil {
-			return nil, fmt.Errorf("dex: source %d: %w", i, err)
-		}
-		f.Classes = append(f.Classes, c)
-	}
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 type asmParser struct {
@@ -496,4 +478,13 @@ func opByName(name string) (Opcode, bool) {
 		}
 	}
 	return 0, false
+}
+
+// DescToJava converts a class type descriptor back to a Java binary name.
+// Non-class descriptors are returned unchanged.
+func DescToJava(desc string) string {
+	if strings.HasPrefix(desc, "L") && strings.HasSuffix(desc, ";") {
+		return strings.ReplaceAll(desc[1:len(desc)-1], "/", ".")
+	}
+	return desc
 }

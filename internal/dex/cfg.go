@@ -1,10 +1,6 @@
 package dex
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // BasicBlock is a maximal straight-line instruction sequence within a
 // method body. Instruction indices are into Method.Code; Succs are indices
@@ -85,42 +81,4 @@ func BuildCFG(m *Method) *CFG {
 // Instructions returns the instruction slice covered by the block.
 func (b *BasicBlock) Instructions(m *Method) []Instruction {
 	return m.Code[b.Start:b.End]
-}
-
-// String renders the graph in a compact adjacency form, e.g.
-// "B0[0,3)->B1,B2 B1[3,5)->B2 B2[5,6)".
-func (g *CFG) String() string {
-	var parts []string
-	for _, b := range g.Blocks {
-		s := fmt.Sprintf("B%d[%d,%d)", b.Index, b.Start, b.End)
-		if len(b.Succs) > 0 {
-			ss := make([]string, len(b.Succs))
-			for i, t := range b.Succs {
-				ss[i] = fmt.Sprintf("B%d", t)
-			}
-			s += "->" + strings.Join(ss, ",")
-		}
-		parts = append(parts, s)
-	}
-	return strings.Join(parts, " ")
-}
-
-// Reachable returns the set of block indices reachable from the entry
-// block.
-func (g *CFG) Reachable() map[int]bool {
-	seen := make(map[int]bool)
-	if len(g.Blocks) == 0 {
-		return seen
-	}
-	stack := []int{0}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		stack = append(stack, g.Blocks[n].Succs...)
-	}
-	return seen
 }

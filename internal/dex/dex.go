@@ -9,8 +9,8 @@
 //
 //   - an in-memory object model (File, Class, Method, Field, Instruction),
 //   - a deterministic binary encoding (Encode/Decode) with checksums,
-//   - a smali-like textual disassembler (Disassemble) and assembler
-//     (Assemble) that round-trip,
+//   - a smali-like textual disassembler (Disassemble), which the tests
+//     reassemble to check the round trip,
 //   - a builder API for constructing classes programmatically,
 //   - control-flow-graph extraction (BuildCFG) used by the MAIL translator
 //     and the static taint analysis, and
@@ -196,15 +196,6 @@ func (c *Class) Package() string {
 // "com.example.Main" -> "Lcom/example/Main;".
 func JavaToDesc(name string) string {
 	return "L" + strings.ReplaceAll(name, ".", "/") + ";"
-}
-
-// DescToJava converts a class type descriptor back to a Java binary name.
-// Non-class descriptors are returned unchanged.
-func DescToJava(desc string) string {
-	if strings.HasPrefix(desc, "L") && strings.HasSuffix(desc, ";") {
-		return strings.ReplaceAll(desc[1:len(desc)-1], "/", ".")
-	}
-	return desc
 }
 
 // MethodCount returns the total number of method definitions in the file.

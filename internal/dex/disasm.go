@@ -132,22 +132,6 @@ func formatInstr(in Instruction, targets map[int]string) string {
 	}
 }
 
-// Summary returns a short one-line description of the file, used by
-// apkinspect.
-func Summary(f *File) string {
-	methods := f.MethodCount()
-	return fmt.Sprintf("%d classes, %d methods, %d string literals (classes: %s)",
-		len(f.Classes), methods, len(f.Strings()),
-		strings.Join(firstN(sortedClassNames(f), 5), ", "))
-}
-
-func firstN(ss []string, n int) []string {
-	if len(ss) > n {
-		return append(ss[:n:n], "...")
-	}
-	return ss
-}
-
 // identifiers extracts every class, method and field identifier defined in
 // the file. Package segments of class names are included individually.
 // The lexical-obfuscation detector consumes this.

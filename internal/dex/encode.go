@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
 )
 
 // Binary format constants.
@@ -480,15 +479,4 @@ func (r *reader) str() string {
 	s := r.text[r.pos : r.pos+n]
 	r.pos += n
 	return s
-}
-
-// sortedClassNames returns the class names in the file, sorted. Useful for
-// deterministic reporting.
-func sortedClassNames(f *File) []string {
-	names := make([]string, 0, len(f.Classes))
-	for _, c := range f.Classes {
-		names = append(names, c.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -127,23 +127,6 @@ func (c *Classifier) Train(family string, p *mail.Program) error {
 	return nil
 }
 
-// TrainedSamples returns the number of training samples.
-func (c *Classifier) TrainedSamples() int { return len(c.samples) }
-
-// Families returns the distinct trained family names, sorted.
-func (c *Classifier) Families() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, s := range c.samples {
-		if !seen[s.Family] {
-			seen[s.Family] = true
-			out = append(out, s.Family)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 func (c *Classifier) threshold() float64 {
 	if c.Threshold > 0 {
 		return c.Threshold

@@ -157,21 +157,8 @@ func TestTrainValidation(t *testing.T) {
 	if err := c.Train("x", &mail.Program{}); err == nil {
 		t.Fatal("empty program accepted")
 	}
-	if c.TrainedSamples() != 0 {
+	if len(c.samples) != 0 {
 		t.Fatal("failed training mutated classifier")
-	}
-}
-
-func TestFamilies(t *testing.T) {
-	var c Classifier
-	for _, fam := range []string{"b", "a", "b"} {
-		if err := c.Train(fam, stealerDex(0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fams := c.Families()
-	if len(fams) != 2 || fams[0] != "a" || fams[1] != "b" {
-		t.Fatalf("Families = %v", fams)
 	}
 }
 

@@ -190,17 +190,6 @@ func (r *Results) Err() error {
 	return errors.Join(errs...)
 }
 
-// Failures returns the records whose analysis failed after retries.
-func (r *Results) Failures() []*AppRecord {
-	var out []*AppRecord
-	for _, rec := range r.Records {
-		if rec != nil && rec.Err != nil {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
 // Run executes the measurement.
 func Run(cfg Config) (*Results, error) {
 	if cfg.Scale <= 0 {

@@ -87,8 +87,14 @@ func TestRunRecordsPerAppFailures(t *testing.T) {
 	if maxDone != total {
 		t.Fatalf("final progress = %d, want %d (callback must fire for failed apps too)", maxDone, total)
 	}
-	if len(res.Failures()) != wantFailed {
-		t.Fatalf("Failures() = %d records, want %d", len(res.Failures()), wantFailed)
+	failedRecs := 0
+	for _, rec := range res.Records {
+		if rec != nil && rec.Err != nil {
+			failedRecs++
+		}
+	}
+	if failedRecs != wantFailed {
+		t.Fatalf("%d records carry an error, want %d", failedRecs, wantFailed)
 	}
 	// The aggregated error names every failing package.
 	agg := res.Err()

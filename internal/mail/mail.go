@@ -80,15 +80,6 @@ type Program struct {
 	Functions []*Function
 }
 
-// TotalBlocks counts blocks across all functions.
-func (p *Program) TotalBlocks() int {
-	n := 0
-	for _, f := range p.Functions {
-		n += len(f.Blocks)
-	}
-	return n
-}
-
 // FromDex lifts SDEX bytecode into MAIL.
 func FromDex(df *dex.File) *Program {
 	p := &Program{Source: "dex"}

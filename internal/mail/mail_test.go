@@ -45,8 +45,12 @@ func TestFromDexPatterns(t *testing.T) {
 	if !found {
 		t.Fatal("no CALL pattern for app-internal invoke")
 	}
-	if p.TotalBlocks() == 0 {
-		t.Fatal("TotalBlocks = 0")
+	blocks := 0
+	for _, f := range p.Functions {
+		blocks += len(f.Blocks)
+	}
+	if blocks == 0 {
+		t.Fatal("program has no blocks")
 	}
 }
 

@@ -69,18 +69,6 @@ func (r *Registry) Counter(name string) int64 {
 	return atomic.LoadInt64(c)
 }
 
-// gauge returns the named gauge cell, creating it at zero first.
-func (r *Registry) gauge(name string) *int64 {
-	r.mu.Lock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = new(int64)
-		r.gauges[name] = g
-	}
-	r.mu.Unlock()
-	return g
-}
-
 // SetGauge pins the named gauge to v, creating it first. Unlike counters,
 // gauges represent instantaneous levels (queue depth, store occupancy,
 // goroutine count) and may move in both directions.
@@ -88,16 +76,14 @@ func (r *Registry) SetGauge(name string, v int64) {
 	if r == nil {
 		return
 	}
-	atomic.StoreInt64(r.gauge(name), v)
-}
-
-// AddGauge moves the named gauge by delta (negative deltas allowed),
-// creating it at zero first.
-func (r *Registry) AddGauge(name string, delta int64) {
-	if r == nil {
-		return
+	r.mu.Lock()
+	g, ok := r.gauges[name]
+	if !ok {
+		g = new(int64)
+		r.gauges[name] = g
 	}
-	atomic.AddInt64(r.gauge(name), delta)
+	r.mu.Unlock()
+	atomic.StoreInt64(g, v)
 }
 
 // Gauge returns the current value of the named gauge (zero when it was

@@ -187,8 +187,8 @@ func TestGauges(t *testing.T) {
 		t.Fatalf("unset gauge = %d, want 0", got)
 	}
 	r.SetGauge("queue.len", 5)
-	r.AddGauge("queue.len", -2)
-	r.AddGauge("heap.bytes", 1024)
+	r.SetGauge("queue.len", 3)
+	r.SetGauge("heap.bytes", 1024)
 	if got := r.Gauge("queue.len"); got != 3 {
 		t.Fatalf("queue.len = %d, want 3", got)
 	}
@@ -202,7 +202,6 @@ func TestGauges(t *testing.T) {
 
 	var nilReg *Registry
 	nilReg.SetGauge("x", 1)
-	nilReg.AddGauge("x", 1)
 	if nilReg.Gauge("x") != 0 {
 		t.Fatal("nil registry gauge should read 0")
 	}
@@ -213,17 +212,19 @@ func TestGaugesConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
-		go func() {
+		go func(v int64) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				r.AddGauge("g", 1)
-				r.AddGauge("g", -1)
+				r.SetGauge("g", v)
+				if got := r.Gauge("g"); got < 0 || got >= 8 {
+					t.Errorf("gauge read %d, never set", got)
+				}
 			}
-		}()
+		}(int64(i))
 	}
 	wg.Wait()
-	if got := r.Gauge("g"); got != 0 {
-		t.Fatalf("gauge after balanced adds = %d, want 0", got)
+	if got := r.Gauge("g"); got < 0 || got >= 8 {
+		t.Fatalf("gauge after concurrent sets = %d, want one of the set values", got)
 	}
 }
 

@@ -64,14 +64,6 @@ type SyscallHandler interface {
 	Syscall(mem Memory, num int64, args [4]int64) (int64, error)
 }
 
-// SyscallFunc adapts a function to SyscallHandler.
-type SyscallFunc func(mem Memory, num int64, args [4]int64) (int64, error)
-
-// Syscall implements SyscallHandler.
-func (f SyscallFunc) Syscall(mem Memory, num int64, args [4]int64) (int64, error) {
-	return f(mem, num, args)
-}
-
 // Memory is the machine memory view handed to syscall handlers.
 type Memory interface {
 	// ReadBytes copies n bytes starting at addr.

@@ -453,3 +453,11 @@ func TestWriteStringAndAllocBounds(t *testing.T) {
 		t.Fatal("out-of-range cstring accepted")
 	}
 }
+
+// SyscallFunc adapts a function to SyscallHandler.
+type SyscallFunc func(mem Memory, num int64, args [4]int64) (int64, error)
+
+// Syscall implements SyscallHandler.
+func (f SyscallFunc) Syscall(mem Memory, num int64, args [4]int64) (int64, error) {
+	return f(mem, num, args)
+}

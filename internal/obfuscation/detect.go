@@ -79,25 +79,6 @@ func (d *Detector) dict() *words.DB {
 	return words.Default()
 }
 
-// Analyze assesses one APK (raw archive bytes). A decompiler crash yields
-// an anti-decompilation report with all bytecode-dependent flags false —
-// matching the measurement, where such apps fail reverse engineering
-// entirely.
-func (d *Detector) Analyze(apkBytes []byte) (Report, error) {
-	u, err := d.Tool.Unpack(apkBytes)
-	if err != nil {
-		if isDecompileErr(err) {
-			return Report{AntiDecompile: true}, nil
-		}
-		return Report{}, err
-	}
-	return d.AnalyzeUnpacked(u), nil
-}
-
-func isDecompileErr(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "decompilation failed")
-}
-
 // AnalyzeUnpacked assesses an already-unpacked app.
 func (d *Detector) AnalyzeUnpacked(u *apktool.Unpacked) Report {
 	var r Report

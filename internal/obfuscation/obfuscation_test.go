@@ -1,6 +1,7 @@
 package obfuscation
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -44,16 +45,26 @@ func plainApp(t *testing.T, pkg string) *apk.APK {
 
 func analyze(t *testing.T, a *apk.APK) Report {
 	t.Helper()
+	return analyzeWith(t, Detector{}, a)
+}
+
+// analyzeWith assesses a the way the pipeline does: a decompiler crash is
+// an anti-decompilation report with every bytecode-dependent flag false;
+// otherwise the report is AnalyzeUnpacked's.
+func analyzeWith(t *testing.T, d Detector, a *apk.APK) Report {
+	t.Helper()
 	data, err := apk.Build(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var d Detector
-	rep, err := d.Analyze(data)
+	u, err := d.Tool.Unpack(data)
+	if errors.Is(err, apktool.ErrDecompile) {
+		return Report{AntiDecompile: true}
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep
+	return d.AnalyzeUnpacked(u)
 }
 
 func TestPlainAppCleanReport(t *testing.T) {
@@ -233,15 +244,7 @@ func TestAntiDecompilationTransform(t *testing.T) {
 		t.Fatalf("anti-decompilation not reported: %+v", rep)
 	}
 	// The fixed decompiler version handles it and reports other flags.
-	data, err := apk.Build(ob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := Detector{Tool: apktool.Tool{Version: apktool.FixedVersion}}
-	rep2, err := d.Analyze(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep2 := analyzeWith(t, Detector{Tool: apktool.Tool{Version: apktool.FixedVersion}}, ob)
 	if rep2.AntiDecompile {
 		t.Fatal("fixed decompiler still reports anti-decompilation")
 	}
@@ -330,44 +333,5 @@ func TestDetectorReportHas(t *testing.T) {
 	}
 	if len(AllTechniques) != 5 {
 		t.Fatal("AllTechniques must list the 5 Table VI rows")
-	}
-}
-
-func TestPackWithAntiDebug(t *testing.T) {
-	a := plainApp(t, "com.guarded.app")
-	packed, err := Pack(a, 0x31, WithAntiDebug())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := android.NewDevice()
-	app, err := dev.Packages.Install(packed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := vm.New(dev, nil, app, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.LaunchApp(); err != nil {
-		t.Fatalf("guarded packed app crashed: %v", err)
-	}
-	// The container self-ptraced three times before decrypting.
-	evs := dev.PtraceEvents()
-	if len(evs) != 3 {
-		t.Fatalf("ptrace events = %d, want 3: %+v", len(evs), evs)
-	}
-	for _, ev := range evs {
-		if ev.TracerPkg != "com.guarded.app" || ev.TraceePkg != "com.guarded.app" {
-			t.Fatalf("non-self ptrace: %+v", ev)
-		}
-	}
-	// Decryption still happened: the original code loaded.
-	if !dev.Storage.Exists("/data/data/com.guarded.app/cache/app.dex") {
-		t.Fatal("payload not decrypted")
-	}
-	// Still detected as DEX encryption.
-	rep := analyze(t, packed)
-	if !rep.DEXEncryption {
-		t.Fatalf("guarded packer not detected: %+v", rep)
 	}
 }

@@ -18,21 +18,6 @@ const (
 	ShellLib = "libshell.so"
 )
 
-// PackOption configures Pack.
-type PackOption func(*packConfig)
-
-type packConfig struct {
-	antiDebug bool
-}
-
-// WithAntiDebug adds the anti-dynamic-analysis trick the paper observed in
-// one packed sample: before decryption, the container ptrace-attaches to
-// its own process in a loop so external debuggers cannot (only one tracer
-// may attach).
-func WithAntiDebug() PackOption {
-	return func(c *packConfig) { c.antiDebug = true }
-}
-
 // Pack applies Bangcle/Ijiami-style DEX encryption (paper §III-D): the
 // original classes.dex is XOR-keystream-encrypted into an asset, a stub
 // classes.dex containing only the container Application subclass replaces
@@ -42,16 +27,12 @@ func WithAntiDebug() PackOption {
 // app's private cache, and creates a DexClassLoader over it — after which
 // the original components resolve normally. Static analysis of the
 // shipped classes.dex sees none of the original code.
-func Pack(a *apk.APK, key byte, opts ...PackOption) (*apk.APK, error) {
+func Pack(a *apk.APK, key byte) (*apk.APK, error) {
 	if a.Dex == nil {
 		return nil, fmt.Errorf("obfuscation: pack: app has no classes.dex")
 	}
 	if key == 0 {
 		return nil, fmt.Errorf("obfuscation: pack: key must be non-zero")
-	}
-	var cfg packConfig
-	for _, opt := range opts {
-		opt(&cfg)
 	}
 	pkg := a.Manifest.Package
 	enc := make([]byte, len(a.Dex))
@@ -63,11 +44,11 @@ func Pack(a *apk.APK, key byte, opts ...PackOption) (*apk.APK, error) {
 	dstPath := "/data/data/" + pkg + "/cache/app.dex"
 	odexDir := "/data/data/" + pkg + "/cache/odex"
 
-	stub, err := buildStubDex(srcPath, dstPath, odexDir, key, cfg.antiDebug)
+	stub, err := buildStubDex(srcPath, dstPath, odexDir, key)
 	if err != nil {
 		return nil, err
 	}
-	decryptor, err := nativebin.Encode(buildDecryptorLib(cfg.antiDebug))
+	decryptor, err := nativebin.Encode(buildDecryptorLib())
 	if err != nil {
 		return nil, fmt.Errorf("obfuscation: pack: %w", err)
 	}
@@ -89,24 +70,14 @@ func Pack(a *apk.APK, key byte, opts ...PackOption) (*apk.APK, error) {
 // buildStubDex emits the container class: onCreate loads the shell
 // library, calls the native decrypt(src, dst, key), and constructs a
 // DexClassLoader over the decrypted payload.
-func buildStubDex(srcPath, dstPath, odexDir string, key byte, antiDebug bool) ([]byte, error) {
+func buildStubDex(srcPath, dstPath, odexDir string, key byte) ([]byte, error) {
 	b := dex.NewBuilder()
 	cls := b.Class(StubAppClass, "android.app.Application")
 	cls.NativeMethod("decrypt", "I", "Ljava/lang/String;", "Ljava/lang/String;", "I")
-	if antiDebug {
-		cls.NativeMethod("guard", "I", "Ljava/lang/String;")
-	}
 	m := cls.Method("onCreate", dex.ACCPublic, 8, "V")
 	m.ConstString(1, "shell").
 		InvokeStatic(dex.MethodRef{Class: "java.lang.System", Name: "loadLibrary",
 			Sig: "(Ljava/lang/String;)V"}, 1)
-	if antiDebug {
-		m.InvokeVirtual(dex.MethodRef{Class: "android.content.Context",
-			Name: "getPackageName", Sig: "()Ljava/lang/String;"}, 0).
-			MoveResult(2).
-			InvokeVirtual(dex.MethodRef{Class: StubAppClass, Name: "guard",
-				Sig: "(Ljava/lang/String;)I"}, 0, 2)
-	}
 	m.ConstString(2, srcPath).
 		ConstString(3, dstPath).
 		Const(4, int64(key)).
@@ -135,29 +106,9 @@ const decryptBufAddr = 0x30000
 // DEX — a faithful miniature of the packers' native-layer decryption
 // (paper: "the job of decryption is normally implemented in native code
 // for the sake of security").
-func buildDecryptorLib(antiDebug bool) *nativebin.Library {
+func buildDecryptorLib() *nativebin.Library {
 	b := nativebin.NewBuilder(ShellLib, "arm")
 	b.Symbol("JNI_OnLoad").MovI(0, 0).Ret()
-	if antiDebug {
-		// guard(pkgPtr): ptrace-attach to our own process three times so no
-		// external tracer can.
-		b.Symbol("Java_com_shell_StubApp_guard").
-			MovR(5, 0). // pkg ptr
-			MovI(6, 0). // counter
-			Label("g").
-			CmpI(6, 3).
-			Bge("gdone").
-			MovR(0, 5).
-			Svc(nativebin.SysFindProc).
-			CmpI(0, 0).
-			Blt("gdone").
-			Svc(nativebin.SysPtrace).
-			AddI(6, 6, 1).
-			B("g").
-			Label("gdone").
-			MovI(0, 0).
-			Ret()
-	}
 	b.Symbol("Java_com_shell_StubApp_decrypt").
 		MovR(5, 1). // r5 = dst path ptr
 		MovR(6, 2). // r6 = key

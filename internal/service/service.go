@@ -32,6 +32,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"time"
@@ -115,7 +116,8 @@ type Server struct {
 	queueDegraded bool
 	// results is the verdict authority when no Store is configured;
 	// failed pins pipeline errors so GETs can distinguish "analysis
-	// failed" from "never seen".
+	// failed" from "never seen". It holds at most maxFailed digests; an
+	// evicted one answers 404 like a digest never seen.
 	results map[string]json.RawMessage
 	failed  map[string]string
 
@@ -125,6 +127,10 @@ type Server struct {
 	// now is the clock; tests replace it to pin watchdog elapsed times.
 	now func() time.Time
 }
+
+// maxFailed bounds Server.failed, so a stream of distinct failing
+// submissions cannot grow the daemon's memory without limit.
+const maxFailed = 1024
 
 type job struct {
 	digest string
@@ -565,6 +571,12 @@ func (s *Server) worker() {
 		s.mu.Lock()
 		delete(s.inflight, j.digest)
 		if err != nil {
+			if len(s.failed) >= maxFailed {
+				for d := range s.failed { // evict an arbitrary older failure
+					delete(s.failed, d)
+					break
+				}
+			}
 			s.failed[j.digest] = err.Error()
 		} else if s.cfg.Store == nil {
 			s.results[j.digest] = raw
@@ -631,8 +643,19 @@ func (s *Server) analyzeAPK(j *job) (*Record, error) {
 	return NewRecord(digest, res, verdict), nil
 }
 
-func (s *Server) analyzeTraced(ctx context.Context, data []byte) (*core.AppResult, *bouncer.Verdict, error) {
-	var verdict *bouncer.Verdict
+// analyzeTraced runs the review and the pipeline. A panic in either
+// becomes the returned error, with its stack on the trace's root span, so
+// analyzeAPK still ends the span, disarms the watchdog, stores the trace
+// and counts the failure.
+func (s *Server) analyzeTraced(ctx context.Context, data []byte) (res *core.AppResult, verdict *bouncer.Verdict, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			if tr := trace.FromContext(ctx); tr != nil {
+				tr.Root.SetAttr("panic.stack", string(debug.Stack()))
+			}
+			res, verdict, err = nil, nil, fmt.Errorf("analysis panic: %v", p)
+		}
+	}()
 	if s.cfg.Reviewer != nil {
 		v, err := s.cfg.Reviewer.ReviewContext(ctx, data)
 		if err != nil {
@@ -640,7 +663,7 @@ func (s *Server) analyzeTraced(ctx context.Context, data []byte) (*core.AppResul
 		}
 		verdict = &v
 	}
-	res, err := s.cfg.Analyzer.AnalyzeAPKContext(ctx, data)
+	res, err = s.cfg.Analyzer.AnalyzeAPKContext(ctx, data)
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: analyze: %w", err)
 	}

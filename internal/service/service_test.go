@@ -1,6 +1,7 @@
 package service
 
 import (
+	"archive/zip"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -9,9 +10,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/dydroid/dydroid/internal/android"
 	"github.com/dydroid/dydroid/internal/apk"
 	"github.com/dydroid/dydroid/internal/bouncer"
 	"github.com/dydroid/dydroid/internal/core"
@@ -19,6 +23,7 @@ import (
 	"github.com/dydroid/dydroid/internal/dex"
 	"github.com/dydroid/dydroid/internal/metrics"
 	"github.com/dydroid/dydroid/internal/resultstore"
+	"github.com/dydroid/dydroid/internal/trace"
 )
 
 // tinyAPK builds a minimal distinct archive per package name (no DCL, so
@@ -694,5 +699,164 @@ func TestWorkerRecoversAnalysisPanic(t *testing.T) {
 	}
 	if !bytes.Equal(served, want) {
 		t.Fatalf("verdict after a panic differs from a direct run:\nserved: %s\ndirect: %s", served, want)
+	}
+}
+
+// TestPipelinePanicTakesFailurePath: a panic inside the pipeline (here a
+// device-setup hook) fails the scan the ordinary way. The verdict poll
+// answers 502 "analysis panic", the stored trace has an errored root
+// carrying the stack, the slow-analysis watchdog is disarmed, the fleet
+// counts one error, and the next clean APK gets its verdict.
+func TestPipelinePanicTakesFailurePath(t *testing.T) {
+	var boom atomic.Bool
+	boom.Store(true)
+	opts := core.Options{Seed: 1, RunDynamicWithoutDCL: true, SetupDevice: func(*android.Device) error {
+		if boom.Load() {
+			panic("injected device bug")
+		}
+		return nil
+	}}
+	traces, err := trace.OpenStore(trace.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	const deadline = 200 * time.Millisecond
+	s, ts := newStubServer(t, Config{Analyzer: core.NewAnalyzer(opts), Workers: 1, Metrics: reg,
+		Traces: traces, SlowDeadline: deadline}, nil)
+
+	bad := tinyAPK(t, "com.panics")
+	badDigest, err := apk.SigningDigest(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postScan(t, ts, bad); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("scan: %d %s", resp.StatusCode, body)
+	}
+	until := time.Now().Add(10 * time.Second)
+	for {
+		resp, body := getResult(t, ts, badDigest)
+		if resp.StatusCode == http.StatusBadGateway {
+			var sr scanResponse
+			if err := json.Unmarshal(body, &sr); err != nil {
+				t.Fatal(err)
+			}
+			if sr.Status != "failed" || !strings.HasPrefix(sr.Error, "analysis panic: injected device bug") {
+				t.Fatalf("failure body = %s", body)
+			}
+			break
+		}
+		if time.Now().After(until) {
+			t.Fatalf("panic never surfaced as a failure: %d %s", resp.StatusCode, body)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/trace/" + badDigest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace of the panicked scan: %d %s", resp.StatusCode, body)
+	}
+	var tr trace.Trace
+	if err := json.Unmarshal(body, &tr); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Root == nil || !strings.HasPrefix(tr.Root.Err, "analysis panic") || tr.Root.EndAt.IsZero() {
+		t.Fatalf("trace root = %+v, want an ended root with the panic error", tr.Root)
+	}
+	if !strings.Contains(tr.Root.Attr("panic.stack"), "goroutine") {
+		t.Fatalf("root span carries no stack: %q", tr.Root.Attr("panic.stack"))
+	}
+
+	time.Sleep(2 * deadline)
+	if got := reg.Counter("service.slow.analyses"); got != 0 {
+		t.Fatalf("service.slow.analyses = %d after the deadline, want 0 (watchdog left armed)", got)
+	}
+	if got := s.cfg.Fleet.Snapshot().Errors; got != 1 {
+		t.Fatalf("fleet errors = %d, want 1", got)
+	}
+
+	boom.Store(false)
+	good := tinyAPK(t, "com.clean")
+	goodDigest, err := apk.SigningDigest(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postScan(t, ts, good); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("clean scan: %d %s", resp.StatusCode, body)
+	}
+	served := pollResult(t, ts, goodDigest)
+	res, err := core.NewAnalyzer(opts).AnalyzeAPK(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewRecord(goodDigest, res, nil).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, want) {
+		t.Fatalf("verdict after a panic differs from a direct run:\nserved: %s\ndirect: %s", served, want)
+	}
+}
+
+// TestFailedDigestsBounded: failures of more distinct digests than
+// maxFailed keep the failed map at the cap, and an evicted digest answers
+// 404 like one never seen.
+func TestFailedDigestsBounded(t *testing.T) {
+	s, ts := newStubServer(t, Config{Workers: 2, QueueDepth: maxFailed + 16},
+		func(string, []byte) (*Record, error) { return nil, fmt.Errorf("injected failure") })
+	digests := make([]string, 0, maxFailed+10)
+	for i := 0; i < cap(digests); i++ {
+		var buf bytes.Buffer
+		zw := zip.NewWriter(&buf)
+		if _, err := zw.Create(strconv.Itoa(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		resp, body := postScan(t, ts, buf.Bytes())
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("scan %d: %d %s", i, resp.StatusCode, body)
+		}
+		var sr scanResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, sr.Digest)
+	}
+	until := time.Now().Add(30 * time.Second)
+	for {
+		s.mu.Lock()
+		pending, failed := len(s.inflight), len(s.failed)
+		s.mu.Unlock()
+		if pending == 0 {
+			if failed != maxFailed {
+				t.Fatalf("failed map holds %d digests, want the cap %d", failed, maxFailed)
+			}
+			break
+		}
+		if time.Now().After(until) {
+			t.Fatalf("%d jobs still in flight", pending)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	var gone, kept int
+	for _, d := range digests {
+		switch resp, body := getResult(t, ts, d); resp.StatusCode {
+		case http.StatusNotFound:
+			gone++
+		case http.StatusBadGateway:
+			kept++
+		default:
+			t.Fatalf("result of a failed digest: %d %s", resp.StatusCode, body)
+		}
+	}
+	if kept != maxFailed || gone != len(digests)-maxFailed {
+		t.Fatalf("%d digests answer 502 and %d answer 404, want %d and %d", kept, gone, maxFailed, len(digests)-maxFailed)
 	}
 }

@@ -84,8 +84,6 @@ func (s taintSet) add(other taintSet) bool {
 	return changed
 }
 
-func single(dt android.DataType) taintSet { return taintSet{dt: true} }
-
 func (s taintSet) clone() taintSet {
 	c := make(taintSet, len(s))
 	for dt := range s {

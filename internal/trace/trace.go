@@ -199,14 +199,6 @@ func FromContext(ctx context.Context) *Trace {
 	return nil
 }
 
-// ActiveSpan returns the innermost span carried by ctx, or nil.
-func ActiveSpan(ctx context.Context) *Span {
-	if v, ok := ctx.Value(ctxKey{}).(ctxVal); ok {
-		return v.s
-	}
-	return nil
-}
-
 // Start opens a span named name as a child of the active span in ctx and
 // returns the derived context plus the span. When ctx carries no trace, a
 // fresh one is created with the new span as root — so a library can

@@ -13,7 +13,7 @@ import (
 
 func TestStartCreatesTraceAndNestsChildren(t *testing.T) {
 	ctx := context.Background()
-	if FromContext(ctx) != nil || ActiveSpan(ctx) != nil {
+	if FromContext(ctx) != nil {
 		t.Fatal("empty context should carry no trace")
 	}
 	ctx, root := Start(ctx, "app")
@@ -29,9 +29,6 @@ func TestStartCreatesTraceAndNestsChildren(t *testing.T) {
 	if FromContext(cctx) != tr {
 		t.Fatal("child context must carry the same trace")
 	}
-	if ActiveSpan(cctx) != child {
-		t.Fatal("child context must carry the child as active span")
-	}
 	_, grand := Start(cctx, "decode")
 	grand.End()
 	child.End()
@@ -41,7 +38,7 @@ func TestStartCreatesTraceAndNestsChildren(t *testing.T) {
 		t.Fatalf("root children = %v, want [unpack]", root.Children)
 	}
 	if len(child.Children) != 1 || child.Children[0].Name != "decode" {
-		t.Fatal("grandchild must nest under the child span")
+		t.Fatal("grandchild must nest under the child span, the one active in its context")
 	}
 	// A sibling started from the root context attaches to the root, not
 	// the (ended) child.
