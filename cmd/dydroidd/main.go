@@ -1,8 +1,8 @@
 // Command dydroidd is the online vetting daemon: an always-on HTTP
 // service that accepts APK submissions, runs the marketplace Bouncer
 // review plus the full DyDroid pipeline over each one, and serves
-// verdicts from a durable content-addressed result store — the
-// store-operator deployment of the paper's measurement.
+// verdicts from a content-addressed result store (durable with -store) —
+// the store-operator deployment of the paper's measurement.
 //
 // Usage:
 //
@@ -85,8 +85,8 @@ func main() {
 	addr := flag.String("addr", ":8437", "listen address")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "analysis worker pool size")
 	queue := flag.Int("queue", 64, "submission queue depth (full queues answer 429)")
-	storeDir := flag.String("store", "", "result store directory (empty = in-memory verdicts only)")
-	cacheSize := flag.Int("cache", 512, "result store in-memory LRU entries")
+	storeDir := flag.String("store", "", "result store directory (empty = keep only the newest -cache verdicts, in memory)")
+	cacheSize := flag.Int("cache", 512, "result store in-memory LRU entries (the whole store without -store)")
 	seed := flag.Int64("seed", 7, "fuzzing seed (verdicts are deterministic per seed)")
 	events := flag.Int("events", 25, "monkey event budget per app")
 	noTrain := flag.Bool("no-train", false, "skip DroidNative training (disables malware detection)")
@@ -175,13 +175,11 @@ func run(parent context.Context, o daemonOptions) error {
 		}
 	}
 	reg := metrics.New()
-	var rs *resultstore.Store
-	if o.StoreDir != "" {
-		if rs, err = resultstore.Open(resultstore.Options{
-			Dir: o.StoreDir, Version: service.RecordVersion, CacheSize: o.CacheSize,
-		}); err != nil {
-			return err
-		}
+	rs, err := resultstore.Open(resultstore.Options{
+		Dir: o.StoreDir, Version: service.RecordVersion, CacheSize: o.CacheSize,
+	})
+	if err != nil {
+		return err
 	}
 	var reviewer *bouncer.Reviewer
 	if !o.NoReview {

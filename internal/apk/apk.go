@@ -15,11 +15,10 @@ import (
 
 // Well-known entry names and prefixes inside the archive.
 const (
-	ManifestEntry  = "AndroidManifest.xml"
-	DexEntry       = "classes.dex"
-	AssetsPrefix   = "assets/"
-	LibPrefix      = "lib/armeabi/"
-	SignatureEntry = "META-INF/MANIFEST.MF"
+	ManifestEntry = "AndroidManifest.xml"
+	DexEntry      = "classes.dex"
+	AssetsPrefix  = "assets/"
+	LibPrefix     = "lib/armeabi/"
 
 	// AntiRepackEntry marks an app protected against repackaging: the
 	// apktool analogue fails to rewrite archives containing it, producing
@@ -48,8 +47,9 @@ type APK struct {
 	Extra map[string][]byte
 }
 
-// Build serializes the package as a zip archive with a META-INF digest
-// manifest (the signing analogue). Output is deterministic.
+// Build serializes the package as a zip archive. Output is
+// deterministic, so equal packages build to equal bytes and share a
+// SigningDigest.
 func Build(a *APK) ([]byte, error) {
 	if err := a.Manifest.Validate(); err != nil {
 		return nil, fmt.Errorf("apk: build: %w", err)
@@ -69,12 +69,8 @@ func Build(a *APK) ([]byte, error) {
 		entries[LibPrefix+name] = data
 	}
 	for name, data := range a.Extra {
-		if name == SignatureEntry {
-			continue // regenerated below
-		}
 		entries[name] = data
 	}
-	entries[SignatureEntry] = signatureManifest(entries)
 
 	names := make([]string, 0, len(entries))
 	for name := range entries {
@@ -93,9 +89,7 @@ func Build(a *APK) ([]byte, error) {
 	for _, name := range names {
 		// Store entries uncompressed: the corpus payloads (SDEX, SELF,
 		// packed assets) are synthetic and small, and flate accounted for
-		// roughly a quarter of pipeline CPU. Identity is unaffected —
-		// SigningDigest hashes the signing manifest text, not the archive
-		// container bytes.
+		// roughly a quarter of pipeline CPU.
 		w, err := zw.CreateHeader(&zip.FileHeader{Name: name, Method: zip.Store})
 		if err != nil {
 			return nil, fmt.Errorf("apk: build %s: %w", name, err)
@@ -112,37 +106,9 @@ func Build(a *APK) ([]byte, error) {
 	return out, nil
 }
 
-// scratchPool recycles the serialization buffers behind Build and
-// signatureManifest. Buffers grow to the largest archive they have seen
-// and stay warm across the run.
+// scratchPool recycles the serialization buffers behind Build. Buffers
+// grow to the largest archive they have seen and stay warm across the run.
 var scratchPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// signatureManifest renders a JAR-manifest-style digest list over every
-// entry (excluding itself).
-func signatureManifest(entries map[string][]byte) []byte {
-	names := make([]string, 0, len(entries))
-	for name := range entries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	b := scratchPool.Get().(*bytes.Buffer)
-	b.Reset()
-	defer scratchPool.Put(b)
-	b.WriteString("Manifest-Version: 1.0\nCreated-By: dydroid-sim\n\n")
-	var hexSum [sha256.Size * 2]byte
-	for _, name := range names {
-		sum := sha256.Sum256(entries[name])
-		hex.Encode(hexSum[:], sum[:])
-		b.WriteString("Name: ")
-		b.WriteString(name)
-		b.WriteString("\nSHA-256-Digest: ")
-		b.Write(hexSum[:])
-		b.WriteString("\n\n")
-	}
-	out := make([]byte, b.Len())
-	copy(out, b.Bytes())
-	return out
-}
 
 // parseCalls counts Parse invocations since process start. The
 // single-parse pipeline promises exactly one Parse per analyzed app; the
@@ -167,7 +133,7 @@ func Parse(data []byte) (*APK, error) {
 	}
 	sawManifest := false
 	for _, f := range zr.File {
-		content, err := readEntry(f)
+		content, err := readEntry(f, len(data))
 		if err != nil {
 			return nil, err
 		}
@@ -185,8 +151,6 @@ func Parse(data []byte) (*APK, error) {
 			a.Assets[strings.TrimPrefix(f.Name, AssetsPrefix)] = content
 		case strings.HasPrefix(f.Name, LibPrefix):
 			a.NativeLibs[strings.TrimPrefix(f.Name, LibPrefix)] = content
-		case f.Name == SignatureEntry:
-			// Regenerated by Build; keeping it in Extra would go stale.
 		default:
 			a.Extra[f.Name] = content
 		}
@@ -197,7 +161,8 @@ func Parse(data []byte) (*APK, error) {
 	return a, nil
 }
 
-func readEntry(f *zip.File) ([]byte, error) {
+// readEntry decompresses one entry of an archive archiveLen bytes long.
+func readEntry(f *zip.File, archiveLen int) ([]byte, error) {
 	if f.UncompressedSize64 > maxEntrySize {
 		return nil, fmt.Errorf("apk: entry %s is implausibly large (%d bytes)", f.Name, f.UncompressedSize64)
 	}
@@ -206,13 +171,26 @@ func readEntry(f *zip.File) ([]byte, error) {
 		return nil, fmt.Errorf("apk: open %s: %w", f.Name, err)
 	}
 	defer rc.Close()
-	// The header declares the uncompressed size (validated against
-	// maxEntrySize above), so read into an exact-size buffer instead of
-	// letting io.ReadAll grow-and-copy its way there. A post-read probe
+	// Read the declared size (validated against maxEntrySize above) into
+	// one up-front buffer, but never a larger one than the archive itself:
+	// a stored entry cannot outgrow its archive, so every entry Build
+	// writes still costs one exact allocation, while a header declaring
+	// more than the archive holds buys nothing. Only a compressed entry
+	// reads past that, and only as its bytes arrive. A post-read probe
 	// catches archives whose payload exceeds the declared size.
-	content := make([]byte, f.UncompressedSize64)
+	content := make([]byte, min(f.UncompressedSize64, uint64(archiveLen)))
 	if _, err := io.ReadFull(rc, content); err != nil {
 		return nil, fmt.Errorf("apk: read %s: %w", f.Name, err)
+	}
+	if rest := f.UncompressedSize64 - uint64(len(content)); rest > 0 {
+		more, err := io.ReadAll(io.LimitReader(rc, int64(rest)))
+		if err != nil {
+			return nil, fmt.Errorf("apk: read %s: %w", f.Name, err)
+		}
+		if uint64(len(more)) < rest {
+			return nil, fmt.Errorf("apk: read %s: %w", f.Name, io.ErrUnexpectedEOF)
+		}
+		content = append(content, more...)
 	}
 	var probe [1]byte
 	if n, _ := rc.Read(probe[:]); n > 0 {
@@ -222,26 +200,14 @@ func readEntry(f *zip.File) ([]byte, error) {
 }
 
 // SigningDigest returns the content-addressed identity of an archive:
-// the hex SHA-256 over its stored signing manifest, which itself digests
-// every entry, so two archives share a digest exactly when their signed
-// contents are identical. Unsigned archives fall back to hashing the raw
-// bytes, keeping the identity total. This is the key of the vetting
-// service's result store.
+// the hex SHA-256 of the submitted bytes, so two submissions share a
+// digest exactly when every byte the pipeline analyzes is the same. It
+// reads no entry; the zip directory check only rejects bodies that are
+// not archives at all. This is the key of the vetting service's result
+// store, of the cluster's ring routing and of the warm-start store.
 func SigningDigest(data []byte) (string, error) {
-	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
+	if _, err := zip.NewReader(bytes.NewReader(data), int64(len(data))); err != nil {
 		return "", fmt.Errorf("apk: digest: %w", err)
-	}
-	for _, f := range zr.File {
-		if f.Name != SignatureEntry {
-			continue
-		}
-		content, err := readEntry(f)
-		if err != nil {
-			return "", err
-		}
-		sum := sha256.Sum256(content)
-		return hex.EncodeToString(sum[:]), nil
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:]), nil

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -81,19 +82,104 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
-func TestVerifySignatureUnsigned(t *testing.T) {
-	// Parse drops the stored signing manifest, which Build regenerates.
+func TestSigningDigestCoversEveryEntry(t *testing.T) {
+	// A stored META-INF/MANIFEST.MF is an ordinary entry: it round-trips
+	// verbatim, and keeping it while swapping classes.dex must still move
+	// the identity, or a tampered resubmission would be served the
+	// original app's verdict.
 	a := sampleAPK()
-	data, err := Build(a)
+	a.Extra["META-INF/MANIFEST.MF"] = []byte("Manifest-Version: 1.0\n")
+	benign, err := Build(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := Parse(data)
+	parsed, err := Parse(benign)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := parsed.Extra[SignatureEntry]; ok {
-		t.Fatal("signature should be filtered from Extra on rebuild path")
+	if !bytes.Equal(parsed.Extra["META-INF/MANIFEST.MF"], a.Extra["META-INF/MANIFEST.MF"]) {
+		t.Fatal("stored META-INF/MANIFEST.MF lost in round-trip")
+	}
+	parsed.Dex = []byte("SDEX-malicious")
+	tampered, err := Build(parsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1, err := SigningDigest(benign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, err := SigningDigest(tampered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d1 == d2 {
+		t.Fatal("swapping classes.dex kept the digest")
+	}
+}
+
+func TestParseDeclaredSizeBuysNothing(t *testing.T) {
+	// A tiny archive whose stored entry declares 60 MiB must fail without
+	// allocating the declared size.
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	w, err := zw.CreateRaw(&zip.FileHeader{
+		Name: ManifestEntry, Method: zip.Store,
+		CompressedSize64: 60 << 20, UncompressedSize64: 60 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte("<manifest/>")); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Parse(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("Parse accepted a %d-byte archive declaring 60 MiB", len(data))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("Parse of a %d-byte archive allocated %d bytes", len(data), alloc)
+	}
+}
+
+func TestParseCompressedEntryLargerThanArchive(t *testing.T) {
+	// A deflated entry may expand past its archive's size; it still reads
+	// in full.
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	w, err := zw.Create(ManifestEntry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte(`<manifest package="com.big"/>`)); err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0}, 1<<16)
+	if w, err = zw.Create(AssetsPrefix + "zeros"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() >= len(payload) {
+		t.Fatalf("archive of %d bytes does not compress the payload", buf.Len())
+	}
+	a, err := Parse(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Assets["zeros"], payload) {
+		t.Fatalf("asset read %d bytes, want %d", len(a.Assets["zeros"]), len(payload))
 	}
 }
 
@@ -303,7 +389,7 @@ func TestSigningDigest(t *testing.T) {
 	if len(d1) != 64 || strings.ToLower(d1) != d1 {
 		t.Fatalf("digest %q is not lowercase hex sha256", d1)
 	}
-	// Identical signed contents → identical digest.
+	// Identical contents → identical digest.
 	again, err := Build(sampleAPK())
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +418,8 @@ func TestSigningDigest(t *testing.T) {
 }
 
 func TestSigningDigestUnsignedFallback(t *testing.T) {
-	// A zip without the signature entry still gets a total identity.
+	// Any zip archive gets an identity, whatever entries it holds; a body
+	// that is not an archive gets none.
 	var buf bytes.Buffer
 	zw := zip.NewWriter(&buf)
 	w, err := zw.Create(ManifestEntry)

@@ -1,11 +1,11 @@
 // Package apk implements the Android application package container used by
 // the simulated marketplace: a zip archive holding AndroidManifest.xml,
-// classes.dex (SDEX bytecode), assets, native libraries under lib/<abi>/,
-// and a META-INF signing digest. It mirrors the pieces of the real format
-// that DyDroid's analyses touch: the manifest (permissions, components,
-// the application android:name attribute, minSdkVersion), the bytecode
-// entry, the assets folder where packers hide encrypted DEX files, and the
-// native library directory that JNI loadLibrary() searches.
+// classes.dex (SDEX bytecode), assets and native libraries under
+// lib/<abi>/. It mirrors the pieces of the real format that DyDroid's
+// analyses touch: the manifest (permissions, components, the application
+// android:name attribute, minSdkVersion), the bytecode entry, the assets
+// folder where packers hide encrypted DEX files, and the native library
+// directory that JNI loadLibrary() searches.
 package apk
 
 import (

@@ -282,13 +282,22 @@ func Run(cfg Config) (*Results, error) {
 
 	// runTraced wraps one analysis attempt in a fresh per-app trace whose
 	// root "app" span covers the pipeline plus any replays; successful
-	// attempts feed the fleet aggregator.
+	// attempts feed the fleet aggregator. A panic becomes the attempt's
+	// error, so it takes the retry and failure-record path of any other
+	// failure instead of killing the run.
 	runTraced := func(an *core.Analyzer, app *corpus.StoreApp, digest string) (*AppRecord, error) {
 		actx, root := trace.Start(ctx, "app")
 		if digest != "" {
 			trace.FromContext(actx).Digest = digest
 		}
-		rec, err := analyze(actx, an, store, app)
+		rec, err := func() (rec *AppRecord, err error) {
+			defer func() {
+				if p := recover(); p != nil {
+					err = fmt.Errorf("analysis panic: %v", p)
+				}
+			}()
+			return analyze(actx, an, store, app)
+		}()
 		root.SetAttr("package", app.Spec.Pkg)
 		root.EndErr(err)
 		if err == nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +12,8 @@ import (
 
 	"github.com/dydroid/dydroid/internal/core"
 	"github.com/dydroid/dydroid/internal/corpus"
+	"github.com/dydroid/dydroid/internal/service"
+	"github.com/dydroid/dydroid/internal/trace"
 )
 
 func appIndex(st *corpus.Store, app *corpus.StoreApp) int {
@@ -104,6 +107,67 @@ func TestRunRecordsPerAppFailures(t *testing.T) {
 	for i, rec := range res.Records {
 		if i%5 == 0 && !strings.Contains(agg.Error(), rec.Meta.Package) {
 			t.Fatalf("aggregated error missing package %s", rec.Meta.Package)
+		}
+	}
+}
+
+// TestRunRecoversAnalysisPanic: a panic in one app's analysis becomes
+// that app's analysis-error record with an errored root span, and every
+// other app's record equals a clean run's.
+func TestRunRecoversAnalysisPanic(t *testing.T) {
+	cfg := Config{Seed: 13, Scale: 0.002, Workers: 2}
+	clean, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim = 3
+	var (
+		mu    sync.Mutex
+		roots []*trace.Span
+	)
+	cfg.analyze = func(ctx context.Context, an *core.Analyzer, st *corpus.Store, app *corpus.StoreApp) (*AppRecord, error) {
+		if app.Index == victim {
+			mu.Lock()
+			roots = append(roots, trace.FromContext(ctx).Root)
+			mu.Unlock()
+			panic("injected")
+		}
+		return analyzeOne(ctx, an, st, app)
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	rec := res.Records[victim]
+	if rec.Result.Status != core.StatusAnalysisError || rec.Err == nil ||
+		!strings.Contains(rec.Err.Error(), "analysis panic: injected") {
+		t.Fatalf("panicking app: status %s, err %v", rec.Result.Status, rec.Err)
+	}
+	if len(roots) != 2 {
+		t.Fatalf("panicking app ran %d attempts, want 2 (retried once)", len(roots))
+	}
+	for _, root := range roots {
+		if !strings.Contains(root.Err, "analysis panic: injected") {
+			t.Fatalf("root span error = %q", root.Err)
+		}
+	}
+	if res.RunStats.Failed != 1 || res.RunStats.Retried != 1 {
+		t.Fatalf("RunStats failed/retried = %d/%d, want 1/1", res.RunStats.Failed, res.RunStats.Retried)
+	}
+	for i, rec := range res.Records {
+		if i == victim {
+			continue
+		}
+		got, err := service.NewRecord("", rec.Result, nil).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := service.NewRecord("", clean.Records[i].Result, nil).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("app %d differs from a clean run:\n got: %s\nwant: %s", i, got, want)
 		}
 	}
 }

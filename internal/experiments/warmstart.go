@@ -14,7 +14,7 @@ import (
 // WarmVersion stamps warm-start records; open the result store passed to
 // Config.Warm with this version so runner format changes invalidate old
 // entries.
-const WarmVersion = 1
+const WarmVersion = 2
 
 // warmRecord is the serialized form of one AppRecord in the warm-start
 // store. Seed and MonkeyEvents travel with the record: a cache built

@@ -1,12 +1,13 @@
 // Package resultstore is the durable verdict cache behind the online
 // vetting service: a sharded, content-addressed store keyed by the APK
-// signing digest. Records are JSON envelopes on disk under
-// shards/<prefix>/<digest>.json with an in-memory LRU front, written
+// digest (the SHA-256 of its bytes). Records are JSON envelopes on disk
+// under shards/<prefix>/<digest>.json with an in-memory LRU front, written
 // atomically (temp file + rename) so a crash mid-Put never exposes a
 // partial record. Records that fail to parse or whose digest does not
 // match their key are moved to quarantine/ instead of being served, and
 // an envelope version lets pipeline changes invalidate stale verdicts
-// wholesale.
+// wholesale. Without a directory the store is the LRU alone: verdicts
+// live in memory, at most CacheSize of them.
 package resultstore
 
 import (
@@ -31,14 +32,15 @@ const shardPrefixLen = 2
 
 // Options configure a Store.
 type Options struct {
-	// Dir is the store root (created if missing).
+	// Dir is the store root (created if missing). Empty keeps records in
+	// the in-memory LRU only, which then is the whole store.
 	Dir string
 	// Version stamps every record written; Get treats records carrying a
 	// different version as misses. Bump it whenever the analysis pipeline
 	// changes in a way that invalidates old verdicts.
 	Version int
 	// CacheSize bounds the in-memory LRU front (entries, default 512;
-	// negative disables the cache).
+	// negative disables the cache, which an in-memory store cannot do).
 	CacheSize int
 }
 
@@ -86,19 +88,22 @@ type envelope struct {
 	Data    json.RawMessage `json:"data"`
 }
 
-// Open creates or reopens a store rooted at opts.Dir.
+// Open creates or reopens a store rooted at opts.Dir, or an in-memory
+// store when opts.Dir is empty.
 func Open(opts Options) (*Store, error) {
-	if opts.Dir == "" {
-		return nil, errors.New("resultstore: empty dir")
-	}
-	for _, d := range []string{opts.Dir, filepath.Join(opts.Dir, "shards"), filepath.Join(opts.Dir, "quarantine")} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("resultstore: %w", err)
-		}
-	}
 	size := opts.CacheSize
 	if size == 0 {
 		size = 512
+	}
+	if opts.Dir == "" && size < 0 {
+		return nil, errors.New("resultstore: an in-memory store needs a cache")
+	}
+	if opts.Dir != "" {
+		for _, d := range []string{opts.Dir, filepath.Join(opts.Dir, "shards"), filepath.Join(opts.Dir, "quarantine")} {
+			if err := os.MkdirAll(d, 0o755); err != nil {
+				return nil, fmt.Errorf("resultstore: %w", err)
+			}
+		}
 	}
 	s := &Store{
 		dir:         opts.Dir,
@@ -143,6 +148,10 @@ func (s *Store) Get(digest string) (json.RawMessage, error) {
 			return data, nil
 		}
 	}
+	if s.dir == "" {
+		s.misses.Add(1)
+		return nil, ErrNotFound
+	}
 	raw, err := os.ReadFile(s.shardPath(digest))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -176,6 +185,11 @@ func (s *Store) Get(digest string) (json.RawMessage, error) {
 func (s *Store) Put(digest string, data json.RawMessage) error {
 	if !validDigest(digest) {
 		return fmt.Errorf("resultstore: invalid digest %q", digest)
+	}
+	if s.dir == "" {
+		s.lru.put(digest, data)
+		s.puts.Add(1)
+		return nil
 	}
 	raw, err := json.Marshal(envelope{Version: s.version, Digest: digest, Data: data})
 	if err != nil {
@@ -243,9 +257,13 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Len reports the number of records on disk (stale and fresh alike); it
-// walks the shard tree, so it is for tooling and tests, not hot paths.
+// Len reports the number of records on disk (stale and fresh alike), or
+// in memory for an in-memory store; on disk it walks the shard tree, so
+// it is for tooling and tests, not hot paths.
 func (s *Store) Len() (int, error) {
+	if s.dir == "" {
+		return s.lru.len(), nil
+	}
 	n := 0
 	err := filepath.WalkDir(filepath.Join(s.dir, "shards"), func(path string, d os.DirEntry, err error) error {
 		if err != nil {

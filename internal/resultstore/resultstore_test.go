@@ -114,6 +114,40 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+func TestInMemoryStoreIsBoundedLRU(t *testing.T) {
+	// Without a directory the LRU is the whole store: it holds at most
+	// CacheSize records, an evicted one is a plain miss, and nothing
+	// touches the disk.
+	st, err := Open(Options{Version: 1, CacheSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var digests []string
+	for i := 0; i < 3; i++ {
+		dg := digestOf(fmt.Sprintf("app-%d", i))
+		digests = append(digests, dg)
+		if err := st.Put(dg, json.RawMessage(fmt.Sprintf(`{"i":%d}`, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, err := st.Len(); err != nil || n != 2 {
+		t.Fatalf("Len = %d, %v; want 2", n, err)
+	}
+	if _, err := st.Get(digests[0]); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("evicted record: err = %v, want ErrNotFound", err)
+	}
+	got, err := st.Get(digests[2])
+	if err != nil || string(got) != `{"i":2}` {
+		t.Fatalf("Get = %s, %v", got, err)
+	}
+	if s := st.Stats(); s.Puts != 3 || s.Hits != 1 || s.CacheHits != 1 || s.Misses != 1 {
+		t.Fatalf("stats = %+v", s)
+	}
+	if _, err := Open(Options{CacheSize: -1}); err == nil {
+		t.Fatal("an in-memory store without a cache opened")
+	}
+}
+
 func TestVersionMismatchIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	dg := digestOf("versioned")

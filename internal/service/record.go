@@ -10,7 +10,7 @@ import (
 // RecordVersion stamps every stored verdict. Bump it whenever the record
 // shape or the analysis pipeline changes in a way that invalidates cached
 // verdicts; the result store then treats old records as misses.
-const RecordVersion = 1
+const RecordVersion = 2
 
 // Record is the machine-readable per-app verdict: the JSON the daemon
 // serves from /v1/result and `dydroid -json` prints. It is a flattened,
@@ -18,7 +18,8 @@ const RecordVersion = 1
 // marshaling is deterministic — the same APK always serializes to the
 // same bytes.
 type Record struct {
-	// Digest is the APK signing digest, the content address of the store.
+	// Digest is the SHA-256 of the submitted APK bytes
+	// (apk.SigningDigest), the content address of the store.
 	Digest  string `json:"digest"`
 	Package string `json:"package"`
 	Status  string `json:"status"`

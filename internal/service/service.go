@@ -2,8 +2,9 @@
 // DyDroid pipeline (core.Analyzer) and the marketplace review
 // (bouncer.Reviewer), backed by the content-addressed result store. It is
 // the store-operator deployment shape of the paper's measurement —
-// submissions are deduplicated by APK signing digest, analyzed once by a
-// bounded worker pool, and every verdict is served from cache thereafter.
+// submissions are deduplicated by the SHA-256 of their bytes, analyzed
+// once by a bounded worker pool, and every verdict is served from the
+// store thereafter.
 //
 // Endpoints:
 //
@@ -55,8 +56,9 @@ type Config struct {
 	// Reviewer, when non-nil, runs the store-side Bouncer review before
 	// the pipeline; its verdict travels in the served record.
 	Reviewer *bouncer.Reviewer
-	// Store persists verdicts across restarts. Nil keeps them in memory
-	// only (development mode).
+	// Store is the verdict authority. A store with a directory persists
+	// verdicts across restarts; nil gets a fresh in-memory store holding
+	// the newest 512.
 	Store *resultstore.Store
 	// Workers is the analysis parallelism (default GOMAXPROCS).
 	Workers int
@@ -114,12 +116,10 @@ type Server struct {
 	// queueDegraded tracks the saturation state so the journal records
 	// only the degraded/recovered transitions, not every sample.
 	queueDegraded bool
-	// results is the verdict authority when no Store is configured;
 	// failed pins pipeline errors so GETs can distinguish "analysis
 	// failed" from "never seen". It holds at most maxFailed digests; an
 	// evicted one answers 404 like a digest never seen.
-	results map[string]json.RawMessage
-	failed  map[string]string
+	failed map[string]string
 
 	// analyze is the per-submission work function; tests replace it to
 	// block workers or inject failures.
@@ -160,12 +160,18 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Journal == nil {
 		cfg.Journal = events.NewJournal(0)
 	}
+	if cfg.Store == nil {
+		st, err := resultstore.Open(resultstore.Options{Version: RecordVersion})
+		if err != nil {
+			return nil, err
+		}
+		cfg.Store = st
+	}
 	s := &Server{
 		cfg:      cfg,
 		reg:      cfg.Metrics,
 		jobs:     make(chan *job, cfg.QueueDepth),
 		inflight: make(map[string]*job),
-		results:  make(map[string]json.RawMessage),
 		failed:   make(map[string]string),
 	}
 	s.analyze = s.analyzeAPK
@@ -478,21 +484,19 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prom" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.reg.WritePrometheus(w)
-		if s.cfg.Store != nil {
-			st := s.cfg.Store.Stats()
-			for _, c := range []struct {
-				name  string
-				value int64
-			}{
-				{"dydroid_resultstore_hits_total", st.Hits},
-				{"dydroid_resultstore_misses_total", st.Misses},
-				{"dydroid_resultstore_cache_hits_total", st.CacheHits},
-				{"dydroid_resultstore_puts_total", st.Puts},
-				{"dydroid_resultstore_stale_total", st.Stale},
-				{"dydroid_resultstore_quarantined_total", st.Quarantined},
-			} {
-				fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", c.name, c.name, c.value)
-			}
+		st := s.cfg.Store.Stats()
+		for _, c := range []struct {
+			name  string
+			value int64
+		}{
+			{"dydroid_resultstore_hits_total", st.Hits},
+			{"dydroid_resultstore_misses_total", st.Misses},
+			{"dydroid_resultstore_cache_hits_total", st.CacheHits},
+			{"dydroid_resultstore_puts_total", st.Puts},
+			{"dydroid_resultstore_stale_total", st.Stale},
+			{"dydroid_resultstore_quarantined_total", st.Quarantined},
+		} {
+			fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", c.name, c.name, c.value)
 		}
 		snap := s.cfg.Fleet.Snapshot()
 		writeSpanProm(w, snap)
@@ -502,11 +506,9 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, s.reg.Snapshot().String())
-	if s.cfg.Store != nil {
-		st := s.cfg.Store.Stats()
-		fmt.Fprintf(w, "\nresultstore\thits=%d misses=%d cache-hits=%d puts=%d stale=%d quarantined=%d\n",
-			st.Hits, st.Misses, st.CacheHits, st.Puts, st.Stale, st.Quarantined)
-	}
+	st := s.cfg.Store.Stats()
+	fmt.Fprintf(w, "\nresultstore\thits=%d misses=%d cache-hits=%d puts=%d stale=%d quarantined=%d\n",
+		st.Hits, st.Misses, st.CacheHits, st.Puts, st.Stale, st.Quarantined)
 }
 
 // queueSaturated is the shared degradation predicate: the submission
@@ -539,20 +541,10 @@ func (s *Server) noteQueueLevel() {
 	})
 }
 
-// lookup finds a completed verdict in the store (or the in-memory map
-// when no store is configured).
+// lookup finds a completed verdict in the store.
 func (s *Server) lookup(digest string) (json.RawMessage, bool) {
-	if s.cfg.Store != nil {
-		raw, err := s.cfg.Store.Get(digest)
-		if err == nil {
-			return raw, true
-		}
-		return nil, false
-	}
-	s.mu.Lock()
-	raw, ok := s.results[digest]
-	s.mu.Unlock()
-	return raw, ok
+	raw, err := s.cfg.Store.Get(digest)
+	return raw, err == nil
 }
 
 func (s *Server) worker() {
@@ -565,7 +557,7 @@ func (s *Server) worker() {
 		if err == nil {
 			raw, err = rec.Marshal()
 		}
-		if err == nil && s.cfg.Store != nil {
+		if err == nil {
 			err = s.cfg.Store.Put(j.digest, raw)
 		}
 		s.mu.Lock()
@@ -578,8 +570,6 @@ func (s *Server) worker() {
 				}
 			}
 			s.failed[j.digest] = err.Error()
-		} else if s.cfg.Store == nil {
-			s.results[j.digest] = raw
 		}
 		s.mu.Unlock()
 		if err != nil {

@@ -803,14 +803,12 @@ func TestPipelinePanicTakesFailurePath(t *testing.T) {
 	}
 }
 
-// TestFailedDigestsBounded: failures of more distinct digests than
-// maxFailed keep the failed map at the cap, and an evicted digest answers
-// 404 like one never seen.
-func TestFailedDigestsBounded(t *testing.T) {
-	s, ts := newStubServer(t, Config{Workers: 2, QueueDepth: maxFailed + 16},
-		func(string, []byte) (*Record, error) { return nil, fmt.Errorf("injected failure") })
-	digests := make([]string, 0, maxFailed+10)
-	for i := 0; i < cap(digests); i++ {
+// submitDistinct posts n distinct minimal archives and returns their
+// digests, then waits until the server has finished every job.
+func submitDistinct(t *testing.T, s *Server, ts *httptest.Server, n int) []string {
+	t.Helper()
+	digests := make([]string, 0, n)
+	for i := 0; i < n; i++ {
 		var buf bytes.Buffer
 		zw := zip.NewWriter(&buf)
 		if _, err := zw.Create(strconv.Itoa(i)); err != nil {
@@ -832,31 +830,169 @@ func TestFailedDigestsBounded(t *testing.T) {
 	until := time.Now().Add(30 * time.Second)
 	for {
 		s.mu.Lock()
-		pending, failed := len(s.inflight), len(s.failed)
+		pending := len(s.inflight)
 		s.mu.Unlock()
 		if pending == 0 {
-			if failed != maxFailed {
-				t.Fatalf("failed map holds %d digests, want the cap %d", failed, maxFailed)
-			}
-			break
+			return digests
 		}
 		if time.Now().After(until) {
 			t.Fatalf("%d jobs still in flight", pending)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	var gone, kept int
+}
+
+// countResults GETs every digest and counts the answers with status
+// kept and with 404; any other status fails the test.
+func countResults(t *testing.T, ts *httptest.Server, digests []string, kept int) (nKept, nGone int) {
+	t.Helper()
 	for _, d := range digests {
 		switch resp, body := getResult(t, ts, d); resp.StatusCode {
 		case http.StatusNotFound:
-			gone++
-		case http.StatusBadGateway:
-			kept++
+			nGone++
+		case kept:
+			nKept++
 		default:
-			t.Fatalf("result of a failed digest: %d %s", resp.StatusCode, body)
+			t.Fatalf("result of %s: %d %s", d, resp.StatusCode, body)
 		}
 	}
-	if kept != maxFailed || gone != len(digests)-maxFailed {
+	return nKept, nGone
+}
+
+// TestFailedDigestsBounded: failures of more distinct digests than
+// maxFailed keep the failed map at the cap, and an evicted digest answers
+// 404 like one never seen.
+func TestFailedDigestsBounded(t *testing.T) {
+	s, ts := newStubServer(t, Config{Workers: 2, QueueDepth: maxFailed + 16},
+		func(string, []byte) (*Record, error) { return nil, fmt.Errorf("injected failure") })
+	digests := submitDistinct(t, s, ts, maxFailed+10)
+	s.mu.Lock()
+	failed := len(s.failed)
+	s.mu.Unlock()
+	if failed != maxFailed {
+		t.Fatalf("failed map holds %d digests, want the cap %d", failed, maxFailed)
+	}
+	if kept, gone := countResults(t, ts, digests, http.StatusBadGateway); kept != maxFailed || gone != len(digests)-maxFailed {
 		t.Fatalf("%d digests answer 502 and %d answer 404, want %d and %d", kept, gone, maxFailed, len(digests)-maxFailed)
+	}
+}
+
+// TestNoStoreKeepsBoundedVerdicts: without a configured store the
+// daemon keeps verdicts in its default in-memory store, which holds at
+// most its cache size; an evicted digest answers 404.
+func TestNoStoreKeepsBoundedVerdicts(t *testing.T) {
+	const cacheSize = 512 // resultstore's default CacheSize
+	s, ts := newStubServer(t, Config{Workers: 2, QueueDepth: cacheSize + 16},
+		func(digest string, _ []byte) (*Record, error) {
+			return &Record{Digest: digest, Status: "exercised"}, nil
+		})
+	digests := submitDistinct(t, s, ts, cacheSize+10)
+	if n, err := s.cfg.Store.Len(); err != nil || n != cacheSize {
+		t.Fatalf("store holds %d verdicts (%v), want the cache size %d", n, err, cacheSize)
+	}
+	if kept, gone := countResults(t, ts, digests, http.StatusOK); kept != cacheSize || gone != len(digests)-cacheSize {
+		t.Fatalf("%d digests answer 200 and %d answer 404, want %d and %d", kept, gone, cacheSize, len(digests)-cacheSize)
+	}
+}
+
+// swapEntry rewrites an archive with one entry's content replaced and
+// every other entry copied byte for byte.
+func swapEntry(t *testing.T, data []byte, name string, content []byte) []byte {
+	t.Helper()
+	zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	for _, f := range zr.File {
+		if f.Name != name {
+			if err := zw.Copy(f); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		w, err := zw.CreateHeader(&zip.FileHeader{Name: name, Method: zip.Store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(content); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestTamperedResubmissionIsAnalyzed: an archive that keeps a benign
+// app's META-INF/MANIFEST.MF but swaps its classes.dex is a different
+// submission. It is analyzed, not answered with the benign verdict, and
+// its served verdict equals a direct run on the tampered bytes.
+func TestTamperedResubmissionIsAnalyzed(t *testing.T) {
+	const pkg = "com.tamper"
+	b := dex.NewBuilder()
+	b.Class(pkg+".Main", "android.app.Activity").
+		Method("onCreate", dex.ACCPublic, 3, "V", "Landroid/os/Bundle;").ReturnVoid().Done()
+	benignDex, err := dex.Encode(b.File())
+	if err != nil {
+		t.Fatal(err)
+	}
+	benign, err := apk.Build(&apk.APK{
+		Manifest: apk.Manifest{Package: pkg, MinSDK: 16,
+			Application: apk.Application{Activities: []apk.Component{{Name: pkg + ".Main", Main: true}}}},
+		Dex:   benignDex,
+		Extra: map[string][]byte{"META-INF/MANIFEST.MF": []byte("Manifest-Version: 1.0\n")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadLibrary := dex.MethodRef{Class: "java.lang.System", Name: "loadLibrary", Sig: "(Ljava/lang/String;)V"}
+	e := dex.NewBuilder()
+	e.Class(pkg+".Main", "android.app.Activity").
+		Method("onCreate", dex.ACCPublic, 3, "V", "Landroid/os/Bundle;").
+		ConstString(0, "payload").InvokeStatic(loadLibrary, 0).ReturnVoid().Done()
+	evilDex, err := dex.Encode(e.File())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := swapEntry(t, benign, apk.DexEntry, evilDex)
+
+	reg := metrics.New()
+	newAnalyzer := func() *core.Analyzer { return core.NewAnalyzer(core.Options{Seed: 1}) }
+	_, ts := newStubServer(t, Config{Analyzer: newAnalyzer(), Workers: 1, Metrics: reg}, nil)
+	var digests []string
+	for _, body := range [][]byte{benign, tampered} {
+		resp, out := postScan(t, ts, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("scan: %d %s", resp.StatusCode, out)
+		}
+		var sr scanResponse
+		if err := json.Unmarshal(out, &sr); err != nil {
+			t.Fatal(err)
+		}
+		digests = append(digests, sr.Digest)
+		pollResult(t, ts, sr.Digest)
+	}
+	if digests[0] == digests[1] {
+		t.Fatal("tampered archive shares the benign digest")
+	}
+	if got := reg.Counter("service.analyzed"); got != 2 {
+		t.Fatalf("service.analyzed = %d, want 2", got)
+	}
+	res, err := newAnalyzer().AnalyzeAPK(tampered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewRecord(digests[1], res, nil).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served := pollResult(t, ts, digests[1]); !bytes.Equal(served, want) {
+		t.Fatalf("tampered verdict differs from a direct run:\nserved: %s\ndirect: %s", served, want)
+	}
+	if !res.PreFilter.HasNativeDCL {
+		t.Fatalf("the tampered dex's loadLibrary went unseen: %s", want)
 	}
 }

@@ -50,7 +50,9 @@ func renderSpan(w io.Writer, s *Span, depth int, total time.Duration) {
 		fmt.Fprintln(w)
 	}
 	for _, c := range s.Children {
-		renderSpan(w, c, depth+1, total)
+		if c != nil { // a decoded tree may carry "children":[null]
+			renderSpan(w, c, depth+1, total)
+		}
 	}
 }
 
