@@ -111,13 +111,6 @@ func (c *payloadCache) lib(name string, build func() (*nativebin.Library, error)
 	return data, nil
 }
 
-// cachedLib returns an already-built library's bytes (nil if absent).
-func (c *payloadCache) cachedLib(name string) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.libs[name]
-}
-
 // Build derives the APK for the spec.
 func (s *Spec) Build(cache *payloadCache) (*apk.APK, error) {
 	if s.Packed {

@@ -51,6 +51,16 @@ type Store struct {
 	// Scale is the configured scale factor.
 	Scale float64
 	cache *payloadCache
+	// companions are the apps SetupDevice installs, built once with
+	// their archives. Devices share them read-only: nothing writes an
+	// installed APK or the archive bytes after Generate.
+	companions []companion
+}
+
+// companion is one pre-installed app and its serialized archive.
+type companion struct {
+	apk     *apk.APK
+	archive []byte
 }
 
 // Config controls generation.
@@ -76,22 +86,52 @@ func (st *Store) BuildAPK(app *StoreApp) ([]byte, error) {
 // providers) and the two chat apps the Chathook malware targets, with
 // their processes running.
 func (st *Store) SetupDevice(dev *android.Device) error {
-	air := &apk.APK{
-		Manifest:   apk.Manifest{Package: AdobeAirPackage, MinSDK: 14},
-		NativeLibs: map[string][]byte{"libCore.so": st.cache.cachedLib("companion-libCore.so")},
-	}
-	ds := &apk.APK{
-		Manifest:   apk.Manifest{Package: DevicescapePackage, MinSDK: 14},
-		NativeLibs: map[string][]byte{"libdevicescape-jni.so": st.cache.cachedLib("companion-libdevicescape-jni.so")},
-	}
-	for _, companion := range []*apk.APK{air, ds, chatApp(QQPackage), chatApp(WeChatPackage)} {
-		if _, err := dev.Packages.Install(companion); err != nil {
-			return fmt.Errorf("corpus: companion %s: %w", companion.Manifest.Package, err)
+	for _, c := range st.companions {
+		if _, err := dev.Packages.InstallArchive(c.apk, c.archive); err != nil {
+			return fmt.Errorf("corpus: companion %s: %w", c.apk.Manifest.Package, err)
 		}
 	}
 	dev.StartProcess(QQPackage, 10100)
 	dev.StartProcess(WeChatPackage, 10101)
 	return nil
+}
+
+// buildCompanions builds SetupDevice's four apps and their archives.
+func buildCompanions() ([]companion, error) {
+	air, err := libraryApp(AdobeAirPackage, "libCore.so")
+	if err != nil {
+		return nil, err
+	}
+	ds, err := libraryApp(DevicescapePackage, "libdevicescape-jni.so")
+	if err != nil {
+		return nil, err
+	}
+	var out []companion
+	for _, a := range []*apk.APK{air, ds, chatApp(QQPackage), chatApp(WeChatPackage)} {
+		archive, err := apk.Build(a)
+		if err != nil {
+			return nil, fmt.Errorf("corpus: companion %s: %w", a.Manifest.Package, err)
+		}
+		out = append(out, companion{apk: a, archive: archive})
+	}
+	return out, nil
+}
+
+// libraryApp is a companion that only ships the native library soname,
+// which other apps load from its private lib directory (Table IX).
+func libraryApp(pkg, soname string) (*apk.APK, error) {
+	lib, err := benignLib(soname, 7)
+	if err != nil {
+		return nil, err
+	}
+	data, err := nativebin.Encode(lib)
+	if err != nil {
+		return nil, err
+	}
+	return &apk.APK{
+		Manifest:   apk.Manifest{Package: pkg, MinSDK: 14},
+		NativeLibs: map[string][]byte{soname: data},
+	}, nil
 }
 
 func chatApp(pkg string) *apk.APK {
@@ -211,20 +251,12 @@ func GenerateContext(ctx context.Context, cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Companion libraries shared by SetupDevice.
-	for _, name := range []string{"libCore.so", "libdevicescape-jni.so"} {
-		lib, err := benignLib(name, 7)
-		if err != nil {
-			return nil, err
-		}
-		data, err := nativebin.Encode(lib)
-		if err != nil {
-			return nil, err
-		}
-		cache.libs["companion-"+name] = data
+	companions, err := buildCompanions()
+	if err != nil {
+		return nil, err
 	}
 
-	st := &Store{Network: netsim.NewNetwork(), Scale: cfg.Scale, cache: cache}
+	st := &Store{Network: netsim.NewNetwork(), Scale: cfg.Scale, cache: cache, companions: companions}
 	p := Paper()
 	sc := func(n int) int { return Scaled(n, cfg.Scale) }
 	names := newPkgNamer()

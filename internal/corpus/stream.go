@@ -4,7 +4,8 @@ import "context"
 
 // AppStream is the streaming form of a generated marketplace. Store
 // carries everything except the app list — the payload network, the
-// shared payload cache behind BuildAPK / TrainingSet / SetupDevice —
+// shared payload cache behind BuildAPK / TrainingSet, the companion apps
+// behind SetupDevice —
 // with Store.Apps nil; the apps arrive on Apps() instead, in generation
 // order, and each one is released by the producer once consumed so a
 // full-scale run never retains the whole population.

@@ -22,11 +22,24 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // one line per app with its index, package and the SHA-256 of its served
 // record. The record's digest is blanked, so a change of verdict identity
 // does not churn the file; any change to what an app is found to do does.
+// The run at the default worker count and the run at four workers must
+// both match the one committed file.
 func TestGoldenVerdicts(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("golden verdicts pin outputs, not concurrency; skipped under the race detector")
 	}
-	res, err := Run(Config{Seed: 2016, Scale: 0.02})
+	for _, workers := range []int{0, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			goldenVerdicts(t, workers, *update && workers == 0)
+		})
+	}
+}
+
+// goldenVerdicts runs the scale-0.02 store at the given worker count and
+// compares its verdict lines with the committed file, first rewriting the
+// file when rewrite is set.
+func goldenVerdicts(t *testing.T, workers int, rewrite bool) {
+	res, err := Run(Config{Seed: 2016, Scale: 0.02, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +54,7 @@ func TestGoldenVerdicts(t *testing.T) {
 		fmt.Fprintf(&lines, "%d %s %x\n", i, rec.Meta.Package, sha256.Sum256(raw))
 	}
 	path := filepath.Join("testdata", "verdicts-2016-0.02.txt")
-	want := golden(t, path, lines.Bytes())
+	want := golden(t, path, lines.Bytes(), rewrite)
 	if bytes.Equal(want, lines.Bytes()) {
 		return
 	}
@@ -73,7 +86,7 @@ func TestGoldenReport(t *testing.T) {
 	}
 	_, body, _ := strings.Cut(res.Report(), "\n")
 	path := filepath.Join("testdata", "report-2016-0.05.txt")
-	if want := golden(t, path, []byte(body)); string(want) != body {
+	if want := golden(t, path, []byte(body), *update); string(want) != body {
 		i, gotLine, wantLine := firstDiff(body, string(want))
 		t.Fatalf("report differs from %s at line %d:\n got: %s\nwant: %s", path, i+2, gotLine, wantLine)
 	}
@@ -97,10 +110,10 @@ func firstDiff(got, want string) (int, string, string) {
 }
 
 // golden returns the committed contents of path, first rewriting it with
-// got under -update.
-func golden(t *testing.T, path string, got []byte) []byte {
+// got when rewrite is set.
+func golden(t *testing.T, path string, got []byte, rewrite bool) []byte {
 	t.Helper()
-	if *update {
+	if rewrite {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package nativebin
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 )
@@ -10,7 +11,10 @@ import (
 // memory from HeapBase upward (used for JNI argument marshaling and I/O
 // buffers).
 const (
-	// MemSize is the size of the flat address space.
+	// MemSize is the size of the flat address space and the bound on
+	// every access. The space is materialized on first write: a machine
+	// starts with the bytes up to the end of its data segment, grows on a
+	// write past them, and reads every untouched byte as 0.
 	MemSize = 1 << 18
 	// DataBase is where the library's data segment is mapped.
 	DataBase = 0x1000
@@ -80,8 +84,9 @@ type Machine struct {
 	lib   *Library
 	Regs  [NumRegs]int64
 	flags int // sign of last comparison: -1, 0, +1
-	mem   []byte
-	sys   SyscallHandler
+	// mem holds addresses [0, len(mem)); every byte past its end is 0.
+	mem []byte
+	sys SyscallHandler
 	// StepBudget bounds total instructions per Call. The default (1 << 20)
 	// comfortably covers packer decryption loops while terminating
 	// ptrace-style infinite loops.
@@ -96,7 +101,7 @@ type Machine struct {
 func NewMachine(lib *Library, sys SyscallHandler) *Machine {
 	m := &Machine{
 		lib:        lib,
-		mem:        make([]byte, MemSize),
+		mem:        make([]byte, min(DataBase+len(lib.Data), MemSize)),
 		sys:        sys,
 		StepBudget: 1 << 20,
 		heap:       HeapBase,
@@ -105,9 +110,17 @@ func NewMachine(lib *Library, sys SyscallHandler) *Machine {
 	return m
 }
 
+// grow materializes memory up to end, which the caller has checked
+// against MemSize. The new bytes are zero, as they read before.
+func (m *Machine) grow(end int64) {
+	if n := end - int64(len(m.mem)); n > 0 {
+		m.mem = append(m.mem, make([]byte, n)...)
+	}
+}
+
 // Alloc reserves n bytes of scratch memory and returns its address.
 func (m *Machine) Alloc(n int64) (int64, error) {
-	if n < 0 || m.heap+n > MemSize {
+	if n < 0 || n > MemSize-m.heap {
 		return 0, fmt.Errorf("%w: alloc %d bytes at heap %#x", ErrMemFault, n, m.heap)
 	}
 	addr := m.heap
@@ -122,6 +135,7 @@ func (m *Machine) WriteString(s string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	m.grow(addr + int64(len(s)) + 1)
 	copy(m.mem[addr:], s)
 	m.mem[addr+int64(len(s))] = 0
 	return addr, nil
@@ -129,30 +143,40 @@ func (m *Machine) WriteString(s string) (int64, error) {
 
 // ReadBytes implements Memory.
 func (m *Machine) ReadBytes(addr, n int64) ([]byte, error) {
-	if addr < 0 || n < 0 || addr+n > MemSize {
+	if addr < 0 || n < 0 || n > MemSize-addr {
 		return nil, fmt.Errorf("%w: read [%#x,%#x)", ErrMemFault, addr, addr+n)
 	}
-	return append([]byte(nil), m.mem[addr:addr+n]...), nil
+	out := make([]byte, n)
+	if addr < int64(len(m.mem)) {
+		copy(out, m.mem[addr:])
+	}
+	return out, nil
 }
 
 // WriteBytes implements Memory.
 func (m *Machine) WriteBytes(addr int64, p []byte) error {
-	if addr < 0 || addr+int64(len(p)) > MemSize {
+	if addr < 0 || int64(len(p)) > MemSize-addr {
 		return fmt.Errorf("%w: write [%#x,%#x)", ErrMemFault, addr, addr+int64(len(p)))
 	}
+	m.grow(addr + int64(len(p)))
 	copy(m.mem[addr:], p)
 	return nil
 }
 
-// ReadCString implements Memory.
+// ReadCString implements Memory. The string ends at the first 0 byte;
+// past the materialized end that is the first untouched byte.
 func (m *Machine) ReadCString(addr int64) (string, error) {
 	if addr < 0 || addr >= MemSize {
 		return "", fmt.Errorf("%w: cstring at %#x", ErrMemFault, addr)
 	}
-	for i := addr; i < MemSize; i++ {
-		if m.mem[i] == 0 {
-			return string(m.mem[addr:i]), nil
-		}
+	if addr >= int64(len(m.mem)) {
+		return "", nil
+	}
+	if i := bytes.IndexByte(m.mem[addr:], 0); i >= 0 {
+		return string(m.mem[addr : addr+int64(i)]), nil
+	}
+	if len(m.mem) < MemSize {
+		return string(m.mem[addr:]), nil
 	}
 	return "", fmt.Errorf("%w: unterminated cstring at %#x", ErrMemFault, addr)
 }
@@ -210,12 +234,16 @@ func (m *Machine) run(pc int) error {
 			if addr < 0 || addr >= MemSize {
 				return fmt.Errorf("%w: ldrb at %#x (pc %d)", ErrMemFault, addr, pc)
 			}
-			m.Regs[in.Rd] = int64(m.mem[addr])
+			m.Regs[in.Rd] = 0
+			if addr < int64(len(m.mem)) {
+				m.Regs[in.Rd] = int64(m.mem[addr])
+			}
 		case Strb:
 			addr := m.Regs[in.Rs] + in.Imm
 			if addr < 0 || addr >= MemSize {
 				return fmt.Errorf("%w: strb at %#x (pc %d)", ErrMemFault, addr, pc)
 			}
+			m.grow(addr + 1)
 			m.mem[addr] = byte(m.Regs[in.Rd])
 		case AddR:
 			m.Regs[in.Rd] = m.Regs[in.Rs] + m.Regs[in.Rt]
