@@ -4,6 +4,7 @@ import (
 	"archive/zip"
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -202,15 +203,58 @@ func readEntry(f *zip.File, archiveLen int) ([]byte, error) {
 // SigningDigest returns the content-addressed identity of an archive:
 // the hex SHA-256 of the submitted bytes, so two submissions share a
 // digest exactly when every byte the pipeline analyzes is the same. It
-// reads no entry; the zip directory check only rejects bodies that are
-// not archives at all. This is the key of the vetting service's result
-// store, of the cluster's ring routing and of the warm-start store.
+// opens neither an entry nor the central directory: checkEndRecord only
+// rejects bodies that are not archives at all, in constant memory. This
+// is the key of the vetting service's result store, of the cluster's
+// ring routing and of the warm-start store.
 func SigningDigest(data []byte) (string, error) {
-	if _, err := zip.NewReader(bytes.NewReader(data), int64(len(data))); err != nil {
+	if err := checkEndRecord(data); err != nil {
 		return "", fmt.Errorf("apk: digest: %w", err)
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// Zip end-of-central-directory layout (APPNOTE 4.3.14-4.3.16).
+const (
+	endSig      = 0x06054b50
+	endLen      = 22
+	end64LocSig = 0x07064b50
+	end64LocLen = 20
+	end64Sig    = 0x06064b50
+	end64Len    = 56
+)
+
+// checkEndRecord validates the end-of-central-directory record: its
+// signature within the last 22+65,535 bytes, a comment length that ends
+// exactly at EOF, and a directory (offset plus size) that ends before
+// the record. Zip64 sentinels are resolved through the zip64 end record,
+// as archive/zip does.
+func checkEndRecord(data []byte) error {
+	le16 := func(off int) uint64 { return uint64(binary.LittleEndian.Uint16(data[off:])) }
+	le32 := func(off int) uint64 { return uint64(binary.LittleEndian.Uint32(data[off:])) }
+	for i := len(data) - endLen; i >= 0 && i >= len(data)-endLen-0xffff; i-- {
+		if le32(i) != endSig || i+endLen+int(le16(i+20)) != len(data) {
+			continue
+		}
+		end, size, off := uint64(i), le32(i+12), le32(i+16)
+		if le16(i+10) == 0xffff || size == 0xffffffff || off == 0xffffffff {
+			if loc := i - end64LocLen; loc >= 0 && le32(loc) == end64LocSig {
+				rec := binary.LittleEndian.Uint64(data[loc+8:])
+				if rec > uint64(loc) || uint64(loc)-rec < end64Len || le32(int(rec)) != end64Sig {
+					return fmt.Errorf("%w: bad zip64 end record", zip.ErrFormat)
+				}
+				end = rec
+				size = binary.LittleEndian.Uint64(data[rec+40:])
+				off = binary.LittleEndian.Uint64(data[rec+48:])
+			}
+		}
+		if off > end || size > end-off {
+			return fmt.Errorf("%w: central directory out of bounds", zip.ErrFormat)
+		}
+		return nil
+	}
+	return zip.ErrFormat
 }
 
 // HasAntiRepack reports whether the package carries the anti-repackaging

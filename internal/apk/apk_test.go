@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -414,6 +415,41 @@ func TestSigningDigest(t *testing.T) {
 	}
 	if d3 == d1 {
 		t.Fatal("digest unchanged after content change")
+	}
+}
+
+func TestSigningDigestDoesNotReadDirectory(t *testing.T) {
+	// A small body with a huge central directory (zip64: more than 65,535
+	// entries) must digest without materializing the directory.
+	var buf bytes.Buffer
+	zw := zip.NewWriter(&buf)
+	for i := 0; i < 200_000; i++ {
+		if _, err := zw.CreateHeader(&zip.FileHeader{Name: "e" + strconv.Itoa(i), Method: zip.Store}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := SigningDigest(data)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("digesting a %d-byte archive allocated %d bytes", len(data), alloc)
+	}
+	// Bodies whose end record lies about the archive are refused.
+	for name, bad := range map[string][]byte{
+		"trailing bytes":      append(append([]byte(nil), data...), 0),
+		"truncated directory": data[len(data)/2:],
+	} {
+		if _, err := SigningDigest(bad); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"github.com/dydroid/dydroid/internal/corpus"
 )
 
-// FuzzParse feeds untrusted bytes to the archive parser and to the
-// manifest parser. Neither may panic. An archive Parse accepts and Build
+// FuzzParse feeds untrusted bytes to the archive parser, to the manifest
+// parser and to SigningDigest's end-record check. None may panic. An archive Parse accepts and Build
 // can rebuild must parse back to the same package and bytecode. The seeds
 // are a small generated marketplace's archives and their manifests.
 func FuzzParse(f *testing.F) {
@@ -35,6 +35,7 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		apk.ParseManifest(data)
+		apk.SigningDigest(data)
 		a, err := apk.Parse(data)
 		if err != nil {
 			return

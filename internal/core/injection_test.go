@@ -53,28 +53,30 @@ func benignPayload(t *testing.T) []byte {
 	return data
 }
 
-// victimApp loads the cached SD-card jar (if present) and invokes its
-// entry point. secureDigest, when non-empty, switches to the pinned
-// SecureDexClassLoader.
-func victimApp(t *testing.T, pkg string, secureDigest string) *apk.APK {
+// victimApp loads the cached SD-card jar (if present) through
+// loaderClass and invokes its entry point. vm.SecureLoaderClass pins the
+// jar to secureDigest.
+func victimApp(t *testing.T, pkg, loaderClass, secureDigest string) *apk.APK {
 	t.Helper()
-	loaderClass := "dalvik.system.DexClassLoader"
-	loaderSig := "(Ljava/lang/String;Ljava/lang/String;Ljava/lang/String;Ljava/lang/ClassLoader;)V"
 	b := dex.NewBuilder()
 	act := b.Class(pkg+".Main", "android.app.Activity")
 	m := act.Method("onCreate", dex.ACCPublic, 8, "V", "Landroid/os/Bundle;")
 	m.ConstString(1, sdJarPath).
-		ConstString(2, android.InternalDir(pkg)+"odex")
-	if secureDigest != "" {
-		m.NewInstance(3, vm.SecureLoaderClass).
-			ConstString(4, secureDigest).
-			InvokeDirect(dex.MethodRef{Class: vm.SecureLoaderClass, Name: "<init>",
+		ConstString(2, android.InternalDir(pkg)+"odex").
+		NewInstance(3, loaderClass)
+	switch loaderClass {
+	case vm.SecureLoaderClass:
+		m.ConstString(4, secureDigest).
+			InvokeDirect(dex.MethodRef{Class: loaderClass, Name: "<init>",
 				Sig: "(Ljava/lang/String;Ljava/lang/String;Ljava/lang/String;Ljava/lang/ClassLoader;Ljava/lang/String;)V"},
 				3, 1, 2, 0, 0, 4)
-	} else {
-		m.NewInstance(3, loaderClass).
-			InvokeDirect(dex.MethodRef{Class: loaderClass, Name: "<init>", Sig: loaderSig},
-				3, 1, 2, 0, 0)
+	case string(vm.LoaderPath):
+		m.InvokeDirect(dex.MethodRef{Class: loaderClass, Name: "<init>",
+			Sig: "(Ljava/lang/String;Ljava/lang/ClassLoader;)V"}, 3, 1, 0)
+	default:
+		m.InvokeDirect(dex.MethodRef{Class: loaderClass, Name: "<init>",
+			Sig: "(Ljava/lang/String;Ljava/lang/String;Ljava/lang/String;Ljava/lang/ClassLoader;)V"},
+			3, 1, 2, 0, 0)
 	}
 	m.NewInstance(5, "com.voice.Sdk").
 		InvokeVirtual(dex.MethodRef{Class: "com.voice.Sdk", Name: "boot", Sig: "()V"}, 5).
@@ -103,7 +105,7 @@ func TestCodeInjectionAttackSucceedsOnVulnerableLoader(t *testing.T) {
 	if err := dev.Storage.WriteFile(sdJarPath, attackerPayload(t), "com.evil.flashlight", false); err != nil {
 		t.Fatalf("attacker write: %v", err)
 	}
-	victim, err := dev.Packages.Install(victimApp(t, "com.longtukorea.snmg", ""))
+	victim, err := dev.Packages.Install(victimApp(t, "com.longtukorea.snmg", string(vm.LoaderDex), ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +135,7 @@ func TestSecureLoaderDefeatsInjection(t *testing.T) {
 		if err := dev.Storage.WriteFile(sdJarPath, benign, "com.victim.secure", true); err != nil {
 			t.Fatal(err)
 		}
-		victim, err := dev.Packages.Install(victimApp(t, "com.victim.secure", digest))
+		victim, err := dev.Packages.Install(victimApp(t, "com.victim.secure", vm.SecureLoaderClass, digest))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +153,7 @@ func TestSecureLoaderDefeatsInjection(t *testing.T) {
 		if err := dev.Storage.WriteFile(sdJarPath, attackerPayload(t), "com.evil.flashlight", false); err != nil {
 			t.Fatal(err)
 		}
-		victim, err := dev.Packages.Install(victimApp(t, "com.victim.secure", digest))
+		victim, err := dev.Packages.Install(victimApp(t, "com.victim.secure", vm.SecureLoaderClass, digest))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +181,7 @@ func TestSecureLoaderStillObservedByDyDroid(t *testing.T) {
 	if err := dev.Storage.WriteFile(sdJarPath, benign, "com.victim.watch", true); err != nil {
 		t.Fatal(err)
 	}
-	victim, err := dev.Packages.Install(victimApp(t, "com.victim.watch", hex.EncodeToString(sum[:])))
+	victim, err := dev.Packages.Install(victimApp(t, "com.victim.watch", vm.SecureLoaderClass, hex.EncodeToString(sum[:])))
 	if err != nil {
 		t.Fatal(err)
 	}

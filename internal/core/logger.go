@@ -18,18 +18,15 @@ const LogRoot = android.ExternalRoot + "dydroid/"
 // Logger is the framework instrumentation: it implements vm.Hooks,
 // recording every DCL event with its stack trace, pushing loaded paths
 // into the interception queue, blocking delete/rename on queued files,
-// and immediately copying the loaded binaries (the interceptor).
+// and copying the queued binaries when the run ends (the interceptor,
+// FinalizeInterception). The blocking queue keeps temporary files alive
+// until then — the mutual-exclusion mechanism of §III-B.
 type Logger struct {
 	appPkg  string
 	storage *android.Storage
 	// DisableBlocking turns off the delete/rename interception queue (the
 	// ablation measuring how many temporary loaded files would be lost).
 	DisableBlocking bool
-	// Eager copies loaded binaries at hook time instead of the paper's
-	// dump-at-end design. The default (lazy) relies on the blocking queue
-	// to keep temporary files alive until FinalizeInterception — exactly
-	// the mutual-exclusion mechanism of §III-B.
-	Eager bool
 
 	mu     sync.Mutex
 	events []*DCLEvent
@@ -61,7 +58,7 @@ func (l *Logger) LogError() error {
 }
 
 // OnClassLoaderInit implements vm.Hooks: one event per file on the
-// dexPath, intercepted immediately.
+// dexPath, each queued for interception.
 func (l *Logger) OnClassLoaderInit(kind vm.LoaderKind, dexPath, optimizedDir string, stack []vm.StackElement) {
 	for _, path := range strings.Split(dexPath, ":") {
 		if path == "" {
@@ -95,17 +92,10 @@ func (l *Logger) record(ev *DCLEvent) {
 	ev.Entity = classifyEntity(l.appPkg, ev.CallSite)
 	// System binaries are logged but not queued or intercepted
 	// (paper: "Our DCL logger skips the system binaries").
-	if !ev.SystemLib {
-		l.mu.Lock()
-		l.queue[ev.Path] = true
-		l.mu.Unlock()
-		if l.Eager {
-			if data, err := l.storage.ReadFile(ev.Path); err == nil {
-				ev.Intercepted = data
-			}
-		}
-	}
 	l.mu.Lock()
+	if !ev.SystemLib {
+		l.queue[ev.Path] = true
+	}
 	l.events = append(l.events, ev)
 	l.mu.Unlock()
 	l.appendLog(ev)

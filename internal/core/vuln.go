@@ -1,13 +1,18 @@
 package core
 
-import "github.com/dydroid/dydroid/internal/android"
+import (
+	"github.com/dydroid/dydroid/internal/android"
+	"github.com/dydroid/dydroid/internal/vm"
+)
 
 // AnalyzeVulnerabilities applies the Table IX rules to the logged DCL
 // events:
 //
 //   - a load from external storage is a code-injection risk when the app
 //     supports OS versions below 4.4 (minSdkVersion < 19), where any app
-//     can rewrite the file;
+//     can rewrite the file — unless it goes through the digest-pinning
+//     vm.SecureLoaderClass, which refuses a rewritten file before any of
+//     its bytes run (the mitigation the paper cites);
 //   - a load from the private internal storage of another application
 //     trusts a file the developer does not control (the Adobe AIR
 //     libCore.so pattern).
@@ -28,7 +33,7 @@ func AnalyzeVulnerabilities(appPkg string, minSDK int, events []*DCLEvent) []Vul
 		}
 		switch {
 		case android.IsExternal(ev.Path):
-			if minSDK < android.KitKatAPILevel {
+			if minSDK < android.KitKatAPILevel && ev.API != vm.SecureLoaderClass {
 				add(Vulnerability{Kind: VulnExternalStorage, Code: ev.Kind, Path: ev.Path})
 			}
 		default:

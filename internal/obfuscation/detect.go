@@ -13,6 +13,7 @@ import (
 	"github.com/dydroid/dydroid/internal/apk"
 	"github.com/dydroid/dydroid/internal/apktool"
 	"github.com/dydroid/dydroid/internal/dex"
+	"github.com/dydroid/dydroid/internal/vm"
 	"github.com/dydroid/dydroid/internal/words"
 )
 
@@ -64,19 +65,10 @@ func (r Report) Has(tech string) bool {
 }
 
 // Detector runs the obfuscation analysis. The zero value uses the default
-// dictionary and decompiler.
+// decompiler.
 type Detector struct {
-	// Dict overrides the word database (nil = embedded default).
-	Dict *words.DB
 	// Tool overrides the decompiler used for the anti-decompilation probe.
 	Tool apktool.Tool
-}
-
-func (d *Detector) dict() *words.DB {
-	if d.Dict != nil {
-		return d.Dict
-	}
-	return words.Default()
 }
 
 // AnalyzeUnpacked assesses an already-unpacked app.
@@ -93,12 +85,12 @@ func (d *Detector) AnalyzeUnpacked(u *apktool.Unpacked) Report {
 			}
 			ids = append(ids, id)
 		}
-		r.MeaningfulFraction = d.dict().MeaningfulFraction(ids)
+		r.MeaningfulFraction = words.Default().MeaningfulFraction(ids)
 		r.Lexical = r.MeaningfulFraction < LexicalThreshold
 		r.Reflection = usesReflection(u.Dex)
 	}
-	r.Native = len(u.APK.NativeLibs) > 0 || invokesNativeLoad(u.Dex)
-	r.DEXEncryption = d.detectPacker(u)
+	r.Native = PreFilter(u).HasNativeDCL
+	r.DEXEncryption = detectPacker(u)
 	return r
 }
 
@@ -117,20 +109,6 @@ func usesReflection(df *dex.File) bool {
 	return false
 }
 
-// invokesNativeLoad reports JNI load entry point usage in the bytecode.
-func invokesNativeLoad(df *dex.File) bool {
-	if df == nil {
-		return false
-	}
-	for _, ref := range df.InvokedRefs() {
-		if (ref.Class == "java.lang.System" && (ref.Name == "loadLibrary" || ref.Name == "load")) ||
-			(ref.Class == "java.lang.Runtime" && ref.Name == "load0") {
-			return true
-		}
-	}
-	return false
-}
-
 // detectPacker applies the paper's three-rule DEX-encryption
 // identification (§III-D):
 //
@@ -140,7 +118,7 @@ func invokesNativeLoad(df *dex.File) bool {
 //     a bytecode-capable file exists locally;
 //  3. the container loads a local native library through the JNI (the
 //     decryptor lives in native code).
-func (d *Detector) detectPacker(u *apktool.Unpacked) bool {
+func detectPacker(u *apktool.Unpacked) bool {
 	appClass := u.APK.Manifest.Application.Name
 	if appClass == "" || u.Dex == nil {
 		return false
@@ -150,7 +128,8 @@ func (d *Detector) detectPacker(u *apktool.Unpacked) bool {
 		return false
 	}
 	// Rule 1: class loader created inside the container class.
-	if !classCreatesLoader(container) {
+	loadsDex, loadsNative := classDCL(container)
+	if !loadsDex {
 		return false
 	}
 	// Rule 2a: some declared component missing from decompiled code.
@@ -169,38 +148,34 @@ func (d *Detector) detectPacker(u *apktool.Unpacked) bool {
 		return false
 	}
 	// Rule 3: container invokes the JNI to load a local .so.
-	return classLoadsNative(container) && len(u.APK.NativeLibs) > 0
+	return loadsNative && len(u.APK.NativeLibs) > 0
 }
 
-func classCreatesLoader(c *dex.Class) bool {
+// classDCL reports which kinds of vm.EntryPoints a class's bytecode
+// uses: a new-instance or an <init> invoke of a loader class loads DEX,
+// an invoke of a JNI load method loads native code.
+func classDCL(c *dex.Class) (loadsDex, loadsNative bool) {
 	for _, m := range c.Methods {
-		for _, in := range m.Code {
-			if in.Op == dex.OpNewInstance &&
-				(in.Str == "dalvik.system.DexClassLoader" || in.Str == "dalvik.system.PathClassLoader") {
-				return true
+		for i := range m.Code {
+			in := &m.Code[i]
+			var e vm.EntryPoint
+			var ok bool
+			switch {
+			case in.Op == dex.OpNewInstance:
+				e, ok = vm.LookupEntryPoint(in.Str, "<init>")
+			case in.Op.IsInvoke():
+				e, ok = vm.LookupEntryPoint(in.Method.Class, in.Method.Name)
 			}
-			if in.Op.IsInvoke() && in.Method.Name == "<init>" &&
-				(in.Method.Class == "dalvik.system.DexClassLoader" || in.Method.Class == "dalvik.system.PathClassLoader") {
-				return true
+			if ok {
+				loadsDex = loadsDex || e.Kind == vm.CodeDex
+				loadsNative = loadsNative || e.Kind == vm.CodeNative
+				if loadsDex && loadsNative {
+					return true, true
+				}
 			}
 		}
 	}
-	return false
-}
-
-func classLoadsNative(c *dex.Class) bool {
-	for _, m := range c.Methods {
-		for _, in := range m.Code {
-			if !in.Op.IsInvoke() {
-				continue
-			}
-			if (in.Method.Class == "java.lang.System" && (in.Method.Name == "loadLibrary" || in.Method.Name == "load")) ||
-				(in.Method.Class == "java.lang.Runtime" && in.Method.Name == "load0") {
-				return true
-			}
-		}
-	}
-	return false
+	return loadsDex, loadsNative
 }
 
 // bytecodeExtensions are formats that can carry loadable bytecode
@@ -231,22 +206,16 @@ type StaticDCLFilter struct {
 
 // PreFilter scans an unpacked app for DCL-related code.
 func PreFilter(u *apktool.Unpacked) StaticDCLFilter {
-	var f StaticDCLFilter
+	f := StaticDCLFilter{HasNativeDCL: len(u.APK.NativeLibs) > 0}
 	if u.Dex != nil {
 		for _, c := range u.Dex.Classes {
-			if classCreatesLoader(c) {
-				f.HasDexDCL = true
-			}
-			if classLoadsNative(c) {
-				f.HasNativeDCL = true
-			}
+			loadsDex, loadsNative := classDCL(c)
+			f.HasDexDCL = f.HasDexDCL || loadsDex
+			f.HasNativeDCL = f.HasNativeDCL || loadsNative
 			if f.HasDexDCL && f.HasNativeDCL {
 				break
 			}
 		}
-	}
-	if len(u.APK.NativeLibs) > 0 {
-		f.HasNativeDCL = true
 	}
 	return f
 }

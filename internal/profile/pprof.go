@@ -37,8 +37,8 @@ type Summary struct {
 	PeriodNS int64 `json:"period_ns"`
 	// DurationNS is the profile's own recorded wall duration.
 	DurationNS int64 `json:"duration_ns"`
-	// Top holds the hottest functions by flat self-time, bounded by the
-	// recorder's TopN.
+	// Top holds the hottest functions by flat self-time; a recorder keeps
+	// the 20 hottest.
 	Top []FuncCost `json:"top,omitempty"`
 }
 

@@ -109,9 +109,11 @@ func (w *Window) Meta() Meta {
 	return m
 }
 
+// topFuncs bounds each captured window's parsed function table.
+const topFuncs = 20
+
 // Options configures a Recorder. The zero value works: 250ms windows,
-// 30s cadence, 32 retained windows, top 20 functions, 30s trigger
-// cooldown.
+// 30s cadence, 32 retained windows, 30s trigger cooldown.
 type Options struct {
 	// Node names the owning fleet member, stamped on every window.
 	Node string
@@ -121,8 +123,6 @@ type Options struct {
 	Interval time.Duration
 	// Cap bounds the ring; the oldest window is evicted past it.
 	Cap int
-	// TopN bounds each window's parsed function table.
-	TopN int
 	// Cooldown is the minimum spacing between alert-triggered captures
 	// sharing a trigger key, so a burning SLO doesn't turn the ring into
 	// 32 copies of the same incident.
@@ -168,9 +168,6 @@ func New(opts Options) *Recorder {
 	}
 	if opts.Cap <= 0 {
 		opts.Cap = 32
-	}
-	if opts.TopN <= 0 {
-		opts.TopN = 20
 	}
 	if opts.Cooldown <= 0 {
 		opts.Cooldown = 30 * time.Second
@@ -259,7 +256,7 @@ func (r *Recorder) Capture(trigger, digest, traceID string) *Window {
 		r.count("profile.capture.errors", 1)
 	} else {
 		w.Pprof = raw
-		if sum, perr := ParseCPUProfile(raw, r.opts.TopN); perr != nil {
+		if sum, perr := ParseCPUProfile(raw, topFuncs); perr != nil {
 			w.Err = perr.Error()
 			r.count("profile.capture.errors", 1)
 		} else {

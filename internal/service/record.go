@@ -10,7 +10,7 @@ import (
 // RecordVersion stamps every stored verdict. Bump it whenever the record
 // shape or the analysis pipeline changes in a way that invalidates cached
 // verdicts; the result store then treats old records as misses.
-const RecordVersion = 2
+const RecordVersion = 3
 
 // Record is the machine-readable per-app verdict: the JSON the daemon
 // serves from /v1/result and `dydroid -json` prints. It is a flattened,

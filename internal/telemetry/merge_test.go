@@ -69,7 +69,7 @@ func synthApp(rng *rand.Rand, i int) (*core.AppResult, *trace.Trace) {
 // ingest aggregates the index range [lo, hi) of the synthetic corpus.
 // Each range re-derives its apps from a per-app seed, so any partition
 // sees exactly the data of the full pass.
-func ingest(t *testing.T, lo, hi int) *Snapshot {
+func ingest(t testing.TB, lo, hi int) *Snapshot {
 	t.Helper()
 	a := New(Options{})
 	for i := lo; i < hi; i++ {

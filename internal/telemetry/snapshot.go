@@ -132,7 +132,12 @@ func Merge(dst, src *Snapshot) error {
 	if dst.Stages == nil {
 		dst.Stages = make(map[string]*metrics.Hist, len(src.Stages))
 	}
+	// A decoded member body may carry null entries ("stages":{"x":null});
+	// they hold no observations and are skipped.
 	for name, h := range src.Stages {
+		if h == nil {
+			continue
+		}
 		if cur, ok := dst.Stages[name]; ok {
 			cur.Merge(h)
 		} else {
@@ -143,6 +148,9 @@ func Merge(dst, src *Snapshot) error {
 		dst.Costs = make(map[string]*StageCost, len(src.Costs))
 	}
 	for name, sc := range src.Costs {
+		if sc == nil {
+			continue
+		}
 		if cur, ok := dst.Costs[name]; ok {
 			cur.Count += sc.Count
 			cur.CPUNS += sc.CPUNS

@@ -1,14 +1,16 @@
 // Package vm implements the Dalvik-style virtual machine that executes
 // SDEX application bytecode inside the simulated Android framework. It
-// provides the two class loaders (DexClassLoader, PathClassLoader), the
-// JNI entry points (System.load, System.loadLibrary, Runtime.load0),
-// Java-style stack traces, and the instrumentation hook layer that stands
-// in for DyDroid's modified Android 4.3.1 framework.
+// provides the class loaders, the JNI entry points, Java-style stack
+// traces, and the instrumentation hook layer that stands in for DyDroid's
+// modified Android 4.3.1 framework.
 //
-// All dynamic code loading flows through exactly four choke points — the
-// two class-loader constructors and the two JNI load calls — giving the
-// hook layer the complete-mediation property the paper relies on
-// (§II: "All DCL goes through one of these points").
+// All dynamic code loading flows through the choke points of one table,
+// EntryPoints: three class-loader constructors (DexClassLoader,
+// PathClassLoader and the pinning SecureDexClassLoader) and three JNI
+// load calls (System.load, System.loadLibrary, Runtime.load0). That gives
+// the hook layer the complete-mediation property the paper relies on
+// (§II: "All DCL goes through one of these points"), and the static
+// pre-filter scans for the same table.
 package vm
 
 import "github.com/dydroid/dydroid/internal/netsim"
@@ -20,10 +22,11 @@ type StackElement struct {
 	Method string
 }
 
-// LoaderKind distinguishes the two Dalvik class loaders.
+// LoaderKind names a class loader: one of the two Dalvik loaders, or
+// SecureLoaderClass.
 type LoaderKind string
 
-// The class loader kinds.
+// The Dalvik class loader kinds.
 const (
 	LoaderDex  LoaderKind = "dalvik.system.DexClassLoader"
 	LoaderPath LoaderKind = "dalvik.system.PathClassLoader"
@@ -46,8 +49,8 @@ const (
 // (the VM itself is single-threaded per app, but multiple VMs may share a
 // hook sink).
 type Hooks interface {
-	// OnClassLoaderInit fires inside the DexClassLoader/PathClassLoader
-	// constructor, before the file is consumed. dexPath may list multiple
+	// OnClassLoaderInit fires inside a class-loader constructor, before
+	// the file is consumed. dexPath may list multiple
 	// files separated by ':'; optimizedDir is where the ODEX lands. stack
 	// is the Java stack trace at construction, topmost caller first.
 	OnClassLoaderInit(kind LoaderKind, dexPath, optimizedDir string, stack []StackElement)

@@ -29,7 +29,7 @@ func MapLibraryName(name string) string {
 // loadLibraryByName implements System.loadLibrary(name): map the name,
 // search the app's native library directory then /system/lib, fire the
 // hook with the resolved path, and load.
-func (m *VM) loadLibraryByName(name string) error {
+func (m *VM) loadLibraryByName(api NativeLoadAPI, name string) error {
 	fileName := MapLibraryName(name)
 	candidates := []string{
 		m.App.DataDir + "lib/" + fileName,
@@ -37,7 +37,7 @@ func (m *VM) loadLibraryByName(name string) error {
 	}
 	for _, path := range candidates {
 		if m.Device.Storage.Exists(path) {
-			return m.loadNativeResolved(LoadLibrary, path)
+			return m.loadNativeResolved(api, path)
 		}
 	}
 	return fmt.Errorf("%w: UnsatisfiedLinkError: %s not found", ErrAppCrash, fileName)

@@ -16,40 +16,31 @@ import (
 //	SecureDexClassLoader(dexPath, optimizedDir, libSearchPath, parent,
 //	                     expectedSHA256Hex)
 //
-// The construction still fires the DCL hook — DyDroid observes secure
-// loads like any other — but a digest mismatch raises a
-// SecurityException before any byte of the file is interpreted.
+// The construction still fires the DCL hook, with SecureLoaderClass as
+// its LoaderKind — DyDroid observes secure loads like any other — but a
+// digest mismatch raises a SecurityException before any byte of the file
+// is interpreted.
 const SecureLoaderClass = "it.necst.grabnrun.SecureDexClassLoader"
 
-func (m *VM) sysSecureDexClassLoaderInit(args []Value) (Value, bool, error) {
-	self := argRef(args, 0)
-	if self == nil {
-		return Null, true, fmt.Errorf("%w: SecureDexClassLoader.<init> without receiver", ErrAppCrash)
-	}
-	dexPath := argString(args, 1)
-	optDir := argString(args, 2)
-	expected := strings.ToLower(argString(args, 5))
-	m.Hooks.OnClassLoaderInit(LoaderDex, dexPath, optDir, m.StackTrace())
+// verifyPinned raises the SecurityException of a pinned load: every file
+// on dexPath must hash to the expected hex SHA-256.
+func (m *VM) verifyPinned(dexPath, expected string) error {
+	expected = strings.ToLower(expected)
 	for _, path := range strings.Split(dexPath, ":") {
 		if path == "" {
 			continue
 		}
 		data, err := m.Device.Storage.ReadFile(path)
 		if err != nil {
-			return Null, true, fmt.Errorf("%w: %w", ErrAppCrash, err)
+			return fmt.Errorf("%w: %w", ErrAppCrash, err)
 		}
 		sum := sha256.Sum256(data)
 		if got := hex.EncodeToString(sum[:]); got != expected {
-			return Null, true, fmt.Errorf("%w: SecurityException: %s digest %s does not match pinned %s",
+			return fmt.Errorf("%w: SecurityException: %s digest %s does not match pinned %s",
 				ErrAppCrash, path, got[:12], truncDigest(expected))
 		}
 	}
-	cl, err := m.newClassLoader(LoaderDex, dexPath, optDir, parentLoader(args, 4))
-	if err != nil {
-		return Null, true, fmt.Errorf("%w: %w", ErrAppCrash, err)
-	}
-	self.Native = cl
-	return Null, true, nil
+	return nil
 }
 
 func truncDigest(d string) string {

@@ -40,16 +40,13 @@ var outputStreamClasses = map[string]bool{
 // the reference is not a system API, letting the interpreter resolve app
 // classes.
 func (m *VM) systemInvoke(ref dex.MethodRef, args []Value) (Value, bool, error) {
-	switch {
-	case ref.Class == "java.lang.Object" && ref.Name == "<init>":
+	if ref.Class == "java.lang.Object" && ref.Name == "<init>" {
 		return Null, true, nil
-
-	case ref.Class == SecureLoaderClass && ref.Name == "<init>":
-		return m.sysSecureDexClassLoaderInit(args)
-	case ref.Class == string(LoaderDex) && ref.Name == "<init>":
-		return m.sysDexClassLoaderInit(args)
-	case ref.Class == string(LoaderPath) && ref.Name == "<init>":
-		return m.sysPathClassLoaderInit(args)
+	}
+	if e := entryPoint(ref.Class, ref.Name); e != nil {
+		return Null, true, e.load(m, e.API, args)
+	}
+	switch {
 	case (ref.Class == "java.lang.ClassLoader" || ref.Class == string(LoaderDex) ||
 		ref.Class == string(LoaderPath)) && ref.Name == "loadClass":
 		return m.sysLoadClass(args)
@@ -157,42 +154,6 @@ func argRef(args []Value, i int) *Object {
 }
 
 // --- class loaders -------------------------------------------------------
-
-// sysDexClassLoaderInit implements
-// DexClassLoader(dexPath, optimizedDirectory, librarySearchPath, parent).
-// The hook fires before any file is consumed, exactly like the paper's
-// instrumented constructor.
-func (m *VM) sysDexClassLoaderInit(args []Value) (Value, bool, error) {
-	self := argRef(args, 0)
-	if self == nil {
-		return Null, true, fmt.Errorf("%w: DexClassLoader.<init> without receiver", ErrAppCrash)
-	}
-	dexPath := argString(args, 1)
-	optDir := argString(args, 2)
-	m.Hooks.OnClassLoaderInit(LoaderDex, dexPath, optDir, m.StackTrace())
-	cl, err := m.newClassLoader(LoaderDex, dexPath, optDir, parentLoader(args, 4))
-	if err != nil {
-		return Null, true, fmt.Errorf("%w: %w", ErrAppCrash, err)
-	}
-	self.Native = cl
-	return Null, true, nil
-}
-
-// sysPathClassLoaderInit implements PathClassLoader(dexPath, parent).
-func (m *VM) sysPathClassLoaderInit(args []Value) (Value, bool, error) {
-	self := argRef(args, 0)
-	if self == nil {
-		return Null, true, fmt.Errorf("%w: PathClassLoader.<init> without receiver", ErrAppCrash)
-	}
-	dexPath := argString(args, 1)
-	m.Hooks.OnClassLoaderInit(LoaderPath, dexPath, "", m.StackTrace())
-	cl, err := m.newClassLoader(LoaderPath, dexPath, "", parentLoader(args, 2))
-	if err != nil {
-		return Null, true, fmt.Errorf("%w: %w", ErrAppCrash, err)
-	}
-	self.Native = cl
-	return Null, true, nil
-}
 
 func parentLoader(args []Value, idx int) *ClassLoader {
 	if o := argRef(args, idx); o != nil {
@@ -310,12 +271,6 @@ func (m *VM) sysReflectInvoke(args []Value) (Value, bool, error) {
 
 func (m *VM) sysSystem(name string, args []Value) (Value, bool, error) {
 	switch name {
-	case "loadLibrary":
-		err := m.loadLibraryByName(argString(args, 0))
-		return Null, true, err
-	case "load":
-		err := m.loadNativePath(Load, argString(args, 0))
-		return Null, true, err
 	case "currentTimeMillis":
 		return IntVal(m.Device.Now().UnixMilli()), true, nil
 	case "getProperty":
@@ -328,10 +283,6 @@ func (m *VM) sysRuntime(name string, args []Value) (Value, bool, error) {
 	switch name {
 	case "getRuntime":
 		return RefVal(m.newObject("java.lang.Runtime")), true, nil
-	case "load0":
-		// args[0] is the Runtime receiver.
-		err := m.loadNativePath(LoadZero, argString(args, 1))
-		return Null, true, err
 	case "exec":
 		m.event("exec", argString(args, 1), "")
 		return Null, true, nil
