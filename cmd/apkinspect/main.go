@@ -245,7 +245,7 @@ func run(w io.Writer, path, smali, lib string, fixed bool) error {
 	f := obfuscation.PreFilter(u)
 	fmt.Fprintf(w, "pre-filter: dex-dcl=%v native-dcl=%v\n", f.HasDexDCL, f.HasNativeDCL)
 	var det obfuscation.Detector
-	rep := det.AnalyzeUnpacked(u)
+	rep := det.AnalyzeUnpacked(u, f)
 	fmt.Fprintf(w, "obfuscation: lexical=%v (meaningful %.0f%%) reflection=%v native=%v dex-encryption=%v\n",
 		rep.Lexical, rep.MeaningfulFraction*100, rep.Reflection, rep.Native, rep.DEXEncryption)
 	return nil

@@ -63,7 +63,7 @@ func main() {
 
 	fmt.Println("\n== DyDroid's three-rule packer identification ==")
 	var det obfuscation.Detector
-	rep := det.AnalyzeUnpacked(u)
+	rep := det.AnalyzeUnpacked(u, obfuscation.PreFilter(u))
 	fmt.Printf("  DEX encryption detected: %v (native decryptor present: %v)\n",
 		rep.DEXEncryption, rep.Native)
 

@@ -87,22 +87,23 @@ func (t Tool) Unpack(data []byte) (*Unpacked, error) {
 	if err != nil {
 		return nil, fmt.Errorf("apktool: unpack: %w", err)
 	}
-	return t.UnpackParsed(a)
+	var df *dex.File
+	if a.Dex != nil {
+		df, err = dex.Decode(a.Dex)
+	}
+	return t.Decompile(a, df, err)
 }
 
-// UnpackParsed decompiles an already-parsed archive, sharing the parsed
-// object (no copy): the single-parse pipeline hands the same *apk.APK to
-// the rewrite and dynamic stages afterwards.
-func (t Tool) UnpackParsed(a *apk.APK) (*Unpacked, error) {
-	u := &Unpacked{APK: a}
-	if a.Dex == nil {
-		return u, nil
+// Decompile is Unpack over an archive the caller already parsed and
+// decoded: df is the decoded a.Dex (nil when the app ships none) and
+// decodeErr the decoder's failure, which the decompiler reports as its
+// own crash. The parsed and decoded objects are shared, not copied: the
+// single-parse pipeline hands them on to the rewrite and dynamic stages.
+func (t Tool) Decompile(a *apk.APK, df *dex.File, decodeErr error) (*Unpacked, error) {
+	if decodeErr != nil {
+		return nil, fmt.Errorf("%w: %v", ErrDecompile, decodeErr)
 	}
-	df, err := dex.Decode(a.Dex)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDecompile, err)
-	}
-	if t.version() < FixedVersion {
+	if df != nil && t.version() < FixedVersion {
 		for _, c := range df.Classes {
 			if hostileClassName(c.Name) {
 				return nil, fmt.Errorf("%w: invalid identifier in class %q (anti-decompilation)",
@@ -110,8 +111,7 @@ func (t Tool) UnpackParsed(a *apk.APK) (*Unpacked, error) {
 			}
 		}
 	}
-	u.Dex = df
-	return u, nil
+	return &Unpacked{APK: a, Dex: df}, nil
 }
 
 // hostileClassName reports whether the class's simple name is not a valid

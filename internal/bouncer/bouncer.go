@@ -15,7 +15,7 @@ import (
 	"strings"
 
 	"github.com/dydroid/dydroid/internal/android"
-	"github.com/dydroid/dydroid/internal/apk"
+	"github.com/dydroid/dydroid/internal/core"
 	"github.com/dydroid/dydroid/internal/dex"
 	"github.com/dydroid/dydroid/internal/droidnative"
 	"github.com/dydroid/dydroid/internal/mail"
@@ -63,37 +63,52 @@ func (r *Reviewer) Review(apkBytes []byte) (Verdict, error) {
 
 // ReviewContext is Review joining the trace carried by ctx: the vetting
 // daemon threads one trace through the review and the pipeline run, so a
-// submission's whole history lands in a single span tree.
+// submission's whole history lands in a single span tree. The archive is
+// prepared inside the review span, so a malformed one fails the review
+// there and counts as a review error.
 func (r *Reviewer) ReviewContext(ctx context.Context, apkBytes []byte) (Verdict, error) {
 	ctx, span := trace.Start(ctx, "review")
-	v, err := r.review(ctx, apkBytes)
+	prep, err := core.Prepare(apkBytes)
+	if err != nil {
+		return r.finish(span, Verdict{}, fmt.Errorf("bouncer: %w", err))
+	}
+	v, err := r.review(ctx, prep)
+	return r.finish(span, v, err)
+}
+
+// ReviewPreparedContext is ReviewContext over an archive already prepared
+// by core.Prepare: the vetting daemon prepares each submission once and
+// hands the same PreparedApp to the review and the pipeline.
+func (r *Reviewer) ReviewPreparedContext(ctx context.Context, prep *core.PreparedApp) (Verdict, error) {
+	ctx, span := trace.Start(ctx, "review")
+	v, err := r.review(ctx, prep)
+	return r.finish(span, v, err)
+}
+
+// finish ends the review span and counts the outcome.
+func (r *Reviewer) finish(span *trace.Span, v Verdict, err error) (Verdict, error) {
 	switch {
 	case err != nil:
 		r.Metrics.Add("bouncer.errors", 1)
 		span.EndErr(err)
+		return v, err
 	case v.Approved:
 		r.Metrics.Add("bouncer.approved", 1)
 	default:
 		r.Metrics.Add("bouncer.rejected", 1)
 	}
-	if err == nil {
-		span.SetAttr("approved", strconv.FormatBool(v.Approved))
-		if v.Reason != "" {
-			span.SetAttr("reason", v.Reason)
-		}
-		span.End()
+	span.SetAttr("approved", strconv.FormatBool(v.Approved))
+	if v.Reason != "" {
+		span.SetAttr("reason", v.Reason)
 	}
-	return v, err
+	span.End()
+	return v, nil
 }
 
-func (r *Reviewer) review(ctx context.Context, apkBytes []byte) (Verdict, error) {
-	a, err := apk.Parse(apkBytes)
-	if err != nil {
-		return Verdict{}, fmt.Errorf("bouncer: %w", err)
-	}
+func (r *Reviewer) review(ctx context.Context, prep *core.PreparedApp) (Verdict, error) {
 	// Phase 1: static scan of every binary in the archive.
 	_, sStatic := trace.Start(ctx, "review.static")
-	v, rejected := r.staticScan(a)
+	v, rejected := r.staticScan(prep)
 	sStatic.SetAttr("rejected", strconv.FormatBool(rejected))
 	sStatic.End()
 	if rejected {
@@ -109,10 +124,20 @@ func (r *Reviewer) review(ctx context.Context, apkBytes []byte) (Verdict, error)
 		net = r.Network.Clone()
 		net.Online = dev.NetworkAvailable
 	}
-	app, err := dev.Packages.Install(a)
+	// The sandbox installs the submitted bytes as they are, and the VM
+	// boots from the already-decoded bytecode.
+	archive, err := prep.Archive()
 	if err != nil {
 		return Verdict{}, fmt.Errorf("bouncer: %w", err)
 	}
+	app, err := dev.Packages.InstallArchive(prep.APK, archive)
+	if err != nil {
+		return Verdict{}, fmt.Errorf("bouncer: %w", err)
+	}
+	if prep.DexErr != nil {
+		return Verdict{}, fmt.Errorf("bouncer: vm: app %s: %w", app.Package, prep.DexErr)
+	}
+	app.Decoded = prep.Dex
 	interceptor := &reviewHooks{}
 	machine, err := vm.New(dev, net, app, interceptor, nil)
 	if err != nil {
@@ -161,15 +186,14 @@ func (r *Reviewer) review(ctx context.Context, apkBytes []byte) (Verdict, error)
 
 // staticScan classifies every binary packaged in the archive; rejected
 // reports whether the scan already produced a failing verdict.
-func (r *Reviewer) staticScan(a *apk.APK) (v Verdict, rejected bool) {
-	if a.Dex != nil {
-		if df, err := dex.Decode(a.Dex); err == nil {
-			if det := r.Classifier.Classify(mail.FromDex(df)); det.Malware {
-				return Verdict{Reason: fmt.Sprintf("static scan: classes.dex matches %s (%.0f%%)",
-					det.Family, det.Score*100)}, true
-			}
+func (r *Reviewer) staticScan(prep *core.PreparedApp) (v Verdict, rejected bool) {
+	if prep.Dex != nil {
+		if det := r.Classifier.Classify(mail.FromDex(prep.Dex)); det.Malware {
+			return Verdict{Reason: fmt.Sprintf("static scan: classes.dex matches %s (%.0f%%)",
+				det.Family, det.Score*100)}, true
 		}
 	}
+	a := prep.APK
 	// Libraries are scanned in name order so an archive carrying several
 	// malicious ones always gets the same reason.
 	names := make([]string, 0, len(a.NativeLibs))

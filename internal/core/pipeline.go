@@ -89,10 +89,29 @@ func (a *Analyzer) AnalyzeAPK(apkBytes []byte) (*AppResult, error) {
 // AnalyzeAPKContext is AnalyzeAPK joining the trace carried by ctx: it
 // opens an "analyze" span (the root of a fresh trace when ctx carries
 // none) with one child span per executed pipeline stage, and stores the
-// resulting span tree in AppResult.Trace.
+// resulting span tree in AppResult.Trace. It prepares the archive and
+// runs AnalyzePreparedContext's pipeline on it.
 func (a *Analyzer) AnalyzeAPKContext(ctx context.Context, apkBytes []byte) (*AppResult, error) {
 	ctx, span := trace.Start(ctx, "analyze")
-	res, err := a.analyzeAPK(ctx, apkBytes)
+	prep, err := Prepare(apkBytes)
+	if err != nil {
+		return a.finish(ctx, span, nil, fmt.Errorf("core: %w", err))
+	}
+	res, err := a.analyze(ctx, prep)
+	return a.finish(ctx, span, res, err)
+}
+
+// AnalyzePreparedContext is AnalyzeAPKContext over an archive already
+// prepared by Prepare: the vetting daemon prepares each submission once
+// and hands the same PreparedApp to the Bouncer review and the pipeline.
+func (a *Analyzer) AnalyzePreparedContext(ctx context.Context, prep *PreparedApp) (*AppResult, error) {
+	ctx, span := trace.Start(ctx, "analyze")
+	res, err := a.analyze(ctx, prep)
+	return a.finish(ctx, span, res, err)
+}
+
+// finish ends the analyze span and counts the run's status.
+func (a *Analyzer) finish(ctx context.Context, span *trace.Span, res *AppResult, err error) (*AppResult, error) {
 	if err != nil {
 		span.EndErr(err)
 		a.opts.Metrics.Add("status."+string(StatusAnalysisError), 1)
@@ -106,28 +125,27 @@ func (a *Analyzer) AnalyzeAPKContext(ctx context.Context, apkBytes []byte) (*App
 	return res, nil
 }
 
-func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult, error) {
+func (a *Analyzer) analyze(ctx context.Context, prep *PreparedApp) (*AppResult, error) {
 	res := &AppResult{}
 
+	// The archive is already parsed and its bytecode decoded: the unpack
+	// stage decompiles, and a bytecode decode failure is a decompiler
+	// crash like the anti-decompilation class names.
 	_, sUnpack := trace.Start(ctx, "unpack")
 	mUnpack := profile.MeterSpan(sUnpack)
-	u, err := a.opts.Tool.Unpack(apkBytes)
+	u, err := a.opts.Tool.Decompile(prep.APK, prep.Dex, prep.DexErr)
 	if err != nil {
 		mUnpack()
-		if errors.Is(err, apktool.ErrDecompile) {
-			sUnpack.SetAttr("anti-decompile", "true")
-			sUnpack.End()
-			res.Status = StatusUnpackFailure
-			res.Obfuscation.AntiDecompile = true
-			return res, nil
-		}
-		sUnpack.EndErr(err)
-		return nil, fmt.Errorf("core: %w", err)
+		sUnpack.SetAttr("anti-decompile", "true")
+		sUnpack.End()
+		res.Status = StatusUnpackFailure
+		res.Obfuscation.AntiDecompile = true
+		return res, nil
 	}
 	res.Package = u.APK.Manifest.Package
 	res.PreFilter = obfuscation.PreFilter(u)
 	det := obfuscation.Detector{Tool: a.opts.Tool}
-	res.Obfuscation = det.AnalyzeUnpacked(u)
+	res.Obfuscation = det.AnalyzeUnpacked(u, res.PreFilter)
 	sUnpack.SetAttr("dex-dcl", strconv.FormatBool(res.PreFilter.HasDexDCL))
 	sUnpack.SetAttr("native-dcl", strconv.FormatBool(res.PreFilter.HasNativeDCL))
 	mUnpack()
@@ -138,10 +156,8 @@ func (a *Analyzer) analyzeAPK(ctx context.Context, apkBytes []byte) (*AppResult,
 		return res, nil
 	}
 
-	// From here on the archive is parsed exactly once (the Unpack above):
-	// the rewrite and dynamic stages consume the parsed package and the
+	// The rewrite and dynamic stages consume the parsed package and the
 	// decoded bytecode directly, and replays reuse res.Prepared.
-	prep := &PreparedApp{APK: u.APK, Dex: u.Dex, raw: apkBytes}
 	res.Prepared = prep
 
 	// Rewrite with the logging permission when missing. RepackParsed
@@ -231,20 +247,42 @@ func isNoSpace(err error) bool {
 
 // PreparedApp is the parse-once state of one application archive: the
 // parsed package, its decoded bytecode, and the serialized archive bytes
-// (kept when the pipeline received them, built lazily — at most once —
+// (kept when the archive arrived as bytes, built lazily — at most once —
 // otherwise). AnalyzeAPK publishes it on AppResult.Prepared so the
 // replay path reuses the same parse instead of re-reading the archive.
 type PreparedApp struct {
 	// APK is the parsed package, shared (not copied) across stages.
 	APK *apk.APK
-	// Dex is the decoded bytecode (nil when the app ships none). The VM
-	// boots from it directly; decoded classes are immutable at runtime.
+	// Dex is the decoded bytecode (nil when the app ships none or it
+	// fails to decode). The VM boots from it directly; decoded classes
+	// are immutable at runtime.
 	Dex *dex.File
+	// DexErr is the bytecode decoder's failure, kept as data so each
+	// consumer keeps its own verdict on it: the review fails, the
+	// pipeline reports StatusUnpackFailure.
+	DexErr error
 
 	raw       []byte // archive as received; nil → serialize on demand
 	buildOnce sync.Once
 	built     []byte
 	buildErr  error
+}
+
+// Prepare parses an archive once and decodes its bytecode once: the
+// input the Bouncer review and the pipeline share on the daemon's scan
+// path. Only a parse failure is an error; a decode failure is DexErr.
+func Prepare(apkBytes []byte) (*PreparedApp, error) {
+	a, err := apk.Parse(apkBytes)
+	if err != nil {
+		return nil, err
+	}
+	p := &PreparedApp{APK: a, raw: apkBytes}
+	if a.Dex != nil {
+		if p.Dex, p.DexErr = dex.Decode(a.Dex); p.DexErr != nil {
+			p.Dex = nil
+		}
+	}
+	return p, nil
 }
 
 // Archive returns the serialized archive, building (and caching) it when

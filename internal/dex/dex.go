@@ -227,25 +227,6 @@ func (f *File) Strings() []string {
 	return out
 }
 
-// InvokedRefs returns every method reference invoked anywhere in the file,
-// in encounter order without duplicates.
-func (f *File) InvokedRefs() []MethodRef {
-	seen := make(map[MethodRef]bool)
-	var out []MethodRef
-	for _, c := range f.Classes {
-		for _, m := range c.Methods {
-			for i := range m.Code {
-				in := &m.Code[i]
-				if in.Op.IsInvoke() && !seen[in.Method] {
-					seen[in.Method] = true
-					out = append(out, in.Method)
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Validate performs structural sanity checks: branch targets in range,
 // register indices within the declared register count, and non-empty
 // names. It returns the first problem found.

@@ -71,8 +71,10 @@ type Detector struct {
 	Tool apktool.Tool
 }
 
-// AnalyzeUnpacked assesses an already-unpacked app.
-func (d *Detector) AnalyzeUnpacked(u *apktool.Unpacked) Report {
+// AnalyzeUnpacked assesses an already-unpacked app whose pre-filter
+// result is f (PreFilter(u)): the native-code technique is the filter's
+// native-DCL finding, so the bytecode is scanned for DCL once per app.
+func (d *Detector) AnalyzeUnpacked(u *apktool.Unpacked, f StaticDCLFilter) Report {
 	var r Report
 	if u.Dex != nil {
 		// Framework-override names (onCreate, onClick*, ...) cannot be
@@ -89,7 +91,7 @@ func (d *Detector) AnalyzeUnpacked(u *apktool.Unpacked) Report {
 		r.Lexical = r.MeaningfulFraction < LexicalThreshold
 		r.Reflection = usesReflection(u.Dex)
 	}
-	r.Native = PreFilter(u).HasNativeDCL
+	r.Native = f.HasNativeDCL
 	r.DEXEncryption = detectPacker(u)
 	return r
 }
@@ -97,16 +99,22 @@ func (d *Detector) AnalyzeUnpacked(u *apktool.Unpacked) Report {
 // usesReflection reports any java.lang.reflect usage or the
 // Class.forName/getMethod bootstrap.
 func usesReflection(df *dex.File) bool {
-	for _, ref := range df.InvokedRefs() {
-		if strings.HasPrefix(ref.Class, "java.lang.reflect.") {
-			return true
-		}
-		if ref.Class == "java.lang.Class" &&
-			(ref.Name == "forName" || ref.Name == "getMethod" || ref.Name == "getDeclaredMethod") {
-			return true
+	for _, c := range df.Classes {
+		for _, m := range c.Methods {
+			for i := range m.Code {
+				if in := &m.Code[i]; in.Op.IsInvoke() && reflective(&in.Method) {
+					return true
+				}
+			}
 		}
 	}
 	return false
+}
+
+func reflective(ref *dex.MethodRef) bool {
+	return strings.HasPrefix(ref.Class, "java.lang.reflect.") ||
+		ref.Class == "java.lang.Class" &&
+			(ref.Name == "forName" || ref.Name == "getMethod" || ref.Name == "getDeclaredMethod")
 }
 
 // detectPacker applies the paper's three-rule DEX-encryption

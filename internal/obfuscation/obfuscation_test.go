@@ -64,7 +64,7 @@ func analyzeWith(t *testing.T, d Detector, a *apk.APK) Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d.AnalyzeUnpacked(u)
+	return d.AnalyzeUnpacked(u, PreFilter(u))
 }
 
 func TestPlainAppCleanReport(t *testing.T) {

@@ -3,6 +3,7 @@ package profile
 import (
 	"bytes"
 	"compress/gzip"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -45,7 +46,7 @@ func valueTypeMsg(typ, unit int64) []byte {
 //	strings: 1=samples 2=count 3=cpu 4=nanoseconds 5=fnA 6=fnB 7=fnC
 //	locations: 1->[fnA] 2->[fnB] 3->[fnC,fnB] (fnC inlined into fnB)
 //	samples: [locA,locB] 10ms · [loc3,locB] 20ms · [locA,locA] 5ms
-func testProfile(t *testing.T) []byte {
+func testProfile(t testing.TB) []byte {
 	t.Helper()
 	var p protoBuf
 	p.bytesField(fProfileSampleType, valueTypeMsg(1, 2)) // samples/count
@@ -107,7 +108,7 @@ func testProfile(t *testing.T) []byte {
 	return p.b
 }
 
-func gzipBytes(t *testing.T, b []byte) []byte {
+func gzipBytes(t testing.TB, b []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
@@ -207,9 +208,19 @@ func TestParseCPUProfileRejectsNonCPU(t *testing.T) {
 // through the decoder: whatever the runtime emitted must parse, and a
 // busy loop long enough to be sampled must yield samples.
 func TestParseRealCPUProfile(t *testing.T) {
+	w := liveWindow(t)
+	if w.Summary == nil {
+		t.Fatal("live profile produced no summary")
+	}
+}
+
+// liveWindow captures one 80 ms CPU-profile window while a busy loop
+// keeps a core sampled.
+func liveWindow(t testing.TB) *Window {
+	t.Helper()
 	r := New(Options{WindowDur: 80 * time.Millisecond})
 	stop := make(chan struct{})
-	go func() { // keep a core busy so the window has something to sample
+	go func() {
 		x := 0
 		for {
 			select {
@@ -228,7 +239,40 @@ func TestParseRealCPUProfile(t *testing.T) {
 	if len(w.Pprof) == 0 {
 		t.Fatal("no pprof bytes captured")
 	}
-	if w.Summary == nil {
-		t.Fatal("live profile produced no summary")
+	return w
+}
+
+// FuzzParseCPUProfile feeds mutated profiles to the hand-rolled gzip and
+// protobuf decoder, seeded from the synthetic profile and from a live
+// runtime window, each gzipped and plain: it must never panic, and a
+// summary it returns keeps at most topN functions, hottest first.
+func FuzzParseCPUProfile(f *testing.F) {
+	synthetic := testProfile(f)
+	live := liveWindow(f).Pprof
+	zr, err := gzip.NewReader(bytes.NewReader(live))
+	if err != nil {
+		f.Fatal(err)
 	}
+	liveBody, err := io.ReadAll(zr)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{synthetic, gzipBytes(f, synthetic), live, liveBody, nil} {
+		f.Add(seed)
+	}
+	const topN = 5
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s, err := ParseCPUProfile(raw, topN)
+		if err != nil {
+			return
+		}
+		if len(s.Top) > topN {
+			t.Fatalf("%d functions kept, want at most %d", len(s.Top), topN)
+		}
+		for i := 1; i < len(s.Top); i++ {
+			if s.Top[i].FlatNS > s.Top[i-1].FlatNS {
+				t.Fatalf("top functions out of order: %+v", s.Top)
+			}
+		}
+	})
 }

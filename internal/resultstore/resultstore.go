@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 )
 
@@ -45,13 +44,13 @@ type Options struct {
 }
 
 // Store is a content-addressed result store. All methods are safe for
-// concurrent use.
+// concurrent use. No lock spans a disk write: every Put stages its own
+// temp file and publishes it with an atomic rename, so a slow fsync holds
+// up only its own record.
 type Store struct {
 	dir     string
 	version int
-
-	mu  sync.Mutex // serializes disk writes and quarantine moves
-	lru *lruCache
+	lru     *lruCache
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -196,8 +195,6 @@ func (s *Store) Put(digest string, data json.RawMessage) error {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	dst := s.shardPath(digest)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
@@ -228,10 +225,10 @@ func (s *Store) Put(digest string, data json.RawMessage) error {
 
 // quarantine moves a corrupt shard file aside so it is never served again
 // but stays available for post-mortem inspection. A digest-named
-// destination keeps the move idempotent.
+// destination keeps the move idempotent. A Put racing the move can at
+// worst see its fresh record moved aside too; the next scan of that app
+// then re-analyzes it, and Get never serves a record that fails to parse.
 func (s *Store) quarantine(digest string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	src := s.shardPath(digest)
 	dst := filepath.Join(s.dir, "quarantine", digest+".json")
 	if err := os.Rename(src, dst); err != nil {

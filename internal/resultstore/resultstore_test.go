@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func digestOf(s string) string {
@@ -408,4 +409,81 @@ func TestLRUConcurrentEvictionCoherence(t *testing.T) {
 	if snap.Hits != int64(workers*rounds) {
 		t.Fatalf("hits = %d, want %d", snap.Hits, workers*rounds)
 	}
+}
+
+// TestStalledPutDoesNotBlockOtherDigests stalls one Put inside its file
+// write (a slow fsync) and shows that a Put of another digest completes
+// meanwhile and is served: one slow disk write holds up only its own
+// record, never every daemon worker.
+func TestStalledPutDoesNotBlockOtherDigests(t *testing.T) {
+	st := open(t, Options{Version: 1})
+	stalled, other := digestOf("stalled"), digestOf("other")
+	entered, release := make(chan struct{}), make(chan struct{})
+	st.writeRecord = func(f *os.File, data []byte) error {
+		if strings.Contains(string(data), stalled) {
+			close(entered)
+			<-release
+		}
+		return writeFileSync(f, data)
+	}
+	slow := make(chan error, 1)
+	go func() { slow <- st.Put(stalled, json.RawMessage(`{"slow":true}`)) }()
+	defer func() {
+		close(release)
+		if err := <-slow; err != nil {
+			t.Error(err)
+		}
+	}()
+	<-entered
+
+	fast := make(chan error, 1)
+	go func() { fast <- st.Put(other, json.RawMessage(`{"fast":true}`)) }()
+	select {
+	case err := <-fast:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a Put of another digest waited for the stalled write")
+	}
+	if got, err := st.Get(other); err != nil || string(got) != `{"fast":true}` {
+		t.Fatalf("got %s, err %v", got, err)
+	}
+}
+
+// TestQuarantineRacingPutNeverServesCorrupt races Gets that quarantine a
+// torn record with Puts of the good one under the same digest: a Get
+// either misses or serves the good record, never the torn bytes.
+func TestQuarantineRacingPutNeverServesCorrupt(t *testing.T) {
+	st := open(t, Options{Version: 1, CacheSize: -1})
+	dg := digestOf("contested")
+	good := json.RawMessage(`{"good":true}`)
+	if err := st.Put(dg, good); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				switch w {
+				case 0:
+					os.WriteFile(st.shardPath(dg), []byte(`{"version":1,"dig`), 0o644)
+				case 1:
+					if err := st.Put(dg, good); err != nil {
+						t.Error(err)
+					}
+				default:
+					got, err := st.Get(dg)
+					if err == nil && string(got) != string(good) {
+						t.Errorf("served %s", got)
+					} else if err != nil && !errors.Is(err, ErrNotFound) {
+						t.Error(err)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -633,10 +633,12 @@ func (s *Server) analyzeAPK(j *job) (*Record, error) {
 	return NewRecord(digest, res, verdict), nil
 }
 
-// analyzeTraced runs the review and the pipeline. A panic in either
-// becomes the returned error, with its stack on the trace's root span, so
-// analyzeAPK still ends the span, disarms the watchdog, stores the trace
-// and counts the failure.
+// analyzeTraced prepares the submission once (one parse, one bytecode
+// decode) and runs the review and the pipeline on that one PreparedApp;
+// each keeps its own device. A panic in either becomes the returned
+// error, with its stack on the trace's root span, so analyzeAPK still
+// ends the span, disarms the watchdog, stores the trace and counts the
+// failure.
 func (s *Server) analyzeTraced(ctx context.Context, data []byte) (res *core.AppResult, verdict *bouncer.Verdict, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -646,14 +648,18 @@ func (s *Server) analyzeTraced(ctx context.Context, data []byte) (res *core.AppR
 			res, verdict, err = nil, nil, fmt.Errorf("analysis panic: %v", p)
 		}
 	}()
+	prep, err := core.Prepare(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: prepare: %w", err)
+	}
 	if s.cfg.Reviewer != nil {
-		v, err := s.cfg.Reviewer.ReviewContext(ctx, data)
+		v, err := s.cfg.Reviewer.ReviewPreparedContext(ctx, prep)
 		if err != nil {
 			return nil, nil, fmt.Errorf("service: review: %w", err)
 		}
 		verdict = &v
 	}
-	res, err = s.cfg.Analyzer.AnalyzeAPKContext(ctx, data)
+	res, err = s.cfg.Analyzer.AnalyzePreparedContext(ctx, prep)
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: analyze: %w", err)
 	}

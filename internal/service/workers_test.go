@@ -13,6 +13,7 @@ import (
 	"github.com/dydroid/dydroid/internal/bouncer"
 	"github.com/dydroid/dydroid/internal/core"
 	"github.com/dydroid/dydroid/internal/corpus"
+	"github.com/dydroid/dydroid/internal/metrics"
 )
 
 // TestConcurrentScansMatchDirectRuns submits 32 distinct corpus APKs at
@@ -119,4 +120,50 @@ func submit(url string, data []byte) (string, error) {
 		return "", err
 	}
 	return sr.Digest, nil
+}
+
+// TestOneParsePerScan is the scan-path twin of
+// experiments.TestOneParsePerApp: with the review on, each first-time
+// scan parses the submitted archive exactly once, and the review and the
+// pipeline both run on that parse.
+func TestOneParsePerScan(t *testing.T) {
+	st, err := corpus.Generate(corpus.Config{Seed: 3, Scale: 0.001})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clf, err := st.TrainingSet(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var apks [][]byte
+	seen := make(map[string]bool)
+	for _, app := range st.Apps {
+		data, err := st.BuildAPK(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if digest, err := apk.SigningDigest(data); err != nil {
+			t.Fatal(err)
+		} else if !seen[digest] {
+			seen[digest] = true
+			apks = append(apks, data)
+		}
+	}
+	reg := metrics.New()
+	_, ts := newStubServer(t, Config{
+		Analyzer: core.NewAnalyzer(core.Options{Seed: 3, Classifier: clf, Network: st.Network, SetupDevice: st.SetupDevice, Metrics: reg}),
+		Reviewer: &bouncer.Reviewer{Classifier: clf, Network: st.Network, Metrics: reg},
+		Metrics:  reg,
+	}, nil)
+
+	before := apk.ParseCalls()
+	serveAll(t, ts.URL, apks)
+	if parses, scans := apk.ParseCalls()-before, int64(len(apks)); parses != scans {
+		t.Fatalf("%d parses for %d scans, want exactly one parse per scan", parses, scans)
+	}
+	reviewed := reg.Counter("bouncer.approved") + reg.Counter("bouncer.rejected")
+	if reviewed != int64(len(apks)) || reg.Counter("status."+string(core.StatusExercised)) == 0 {
+		t.Fatalf("%d of %d scans reviewed, %d exercised: one-parse check is vacuous",
+			reviewed, len(apks), reg.Counter("status."+string(core.StatusExercised)))
+	}
 }
